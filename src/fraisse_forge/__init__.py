@@ -27,6 +27,7 @@ from .pushout import (Congruence, OracleReport, PushoutSquare, Span,
                       verify_universal_property)
 from .amalgam import (AmalgamPair, FreeSum, RootedMultiAmalgam,
                       forced_root_isomorphism, free_sum, free_sum_isomorphism,
+                      semilattice_iterated_sum,
                       semilattice_subset_representation)
 from .limits import (Catalog, CatalogParams, StageChain, StageCeilingExceeded,
                      build_stages, build_star, check_graph_extension_property,

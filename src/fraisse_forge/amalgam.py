@@ -3,9 +3,11 @@
 A rooted multi-amalgam is a root structure A together with a finite list of
 one-point extensions, each given by a base substructure of A (possibly empty
 for graphs and posets) and an extension code over that base.  Its free sum is
-the colimit obtained by amalgamating every extension over A, one pushout at a
-time; for semilattices an independent one-shot subset representation is
-computed as a cross-check.
+the colimit obtained by amalgamating every extension over A.  Each class has
+one construction: graphs, posets and metric spaces add all fresh points in one
+pass, and semilattices glue all arms at once (the subset representation).  The
+semilattice iterated sum, a chain of two-term pushouts, is kept as the
+independent reference that the tests compare the subset representation with.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import meetglue
-from .pushout import PushoutSquare, Span, amalgamated_sum
+from .pushout import Span, amalgamated_sum
 from .structures import (GRAPH, ISOMORPHISM, METRIC, POSET, SEMILATTICE,
                          ExtensionCode, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
@@ -67,124 +69,34 @@ class RootedMultiAmalgam:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    pair_index: int
-    square: PushoutSquare | None  # None for a free (empty-base) adjoin
-    new_id: str
-
-
-@dataclass(frozen=True)
 class FreeSum:
     amalgam: RootedMultiAmalgam
     object: FiniteStructure
     root_embedding: Morphism                 # root -> object
     leg_embeddings: tuple[Morphism, ...]     # one per pair: extension -> object
     new_ids: tuple[str, ...]                 # fresh point of each pair, in object
-    construction_log: tuple[StepRecord, ...]
     # semilattice only: carrier id -> minimal ground elements whose meet it is
     ground_parts: dict[str, tuple[str, ...]] | None = field(default=None)
 
 
-def _adjoin_free(s: FiniteStructure, code: ExtensionCode, new_id: str) -> FiniteStructure:
-    """Disjointly adjoin a fresh unrelated point (graphs and posets)."""
-    n = len(s.carrier)
-    if s.class_tag == GRAPH:
-        table = tuple(s.table[i] + (False,) for i in range(n)) + ((False,) * (n + 1),)
-        return FiniteStructure(GRAPH, s.carrier + (new_id,), table)
-    table = tuple(s.table[i] + (False,) for i in range(n)) + ((False,) * n + (True,),)
-    return FiniteStructure(POSET, s.carrier + (new_id,), table)
-
-
 def free_sum(amalgam: RootedMultiAmalgam,
-             max_elements: int | None = None,
-             strategy: str = "direct") -> FreeSum:
-    """Free sum of a rooted multi-amalgam.
+             max_elements: int | None = None) -> FreeSum:
+    """Free sum of a rooted multi-amalgam, all arms in one pass.
 
-    The default strategy computes all arms in one pass (relations and
-    distances between fresh points are routed through the root; semilattices
-    use the subset representation).  `strategy="iterated"` builds the same
-    colimit by a chain of two-term amalgamation pushouts instead, as an
-    independent cross-check: the two must agree up to an isomorphism fixing
-    the root and matching fresh points.
+    Semilattices use the subset representation, where `max_elements` bounds
+    the glued carrier.  For graphs, posets and metric spaces each arm adds one
+    fresh point whose relations to the root follow its code; relations
+    between fresh points are exactly those forced through the root: none for
+    graphs, order composition for posets, min-plus routing for metric spaces.
     """
-    if strategy not in ("direct", "iterated"):
-        raise StructureError(f"unknown free-sum strategy {strategy!r}")
     root = amalgam.root
     tag = root.class_tag
     if tag == SEMILATTICE:
-        if strategy == "direct":
-            return semilattice_subset_representation(amalgam, max_elements)
-        return _free_sum_semilattice_iterated(amalgam, max_elements)
-    if strategy == "direct":
-        return _free_sum_relational_direct(amalgam)
-
-    current = root
-    taken = set(root.carrier)
-    log: list[StepRecord] = []
-    new_ids: list[str] = []
-    leg_maps: list[dict[str, str]] = []
-    for k, pair in enumerate(amalgam.pairs):
-        nid = _fresh_id(pair.new_id, taken)
-        taken.add(nid)
-        if not pair.base_carrier:
-            current = _adjoin_free(current, pair.code, nid)
-            log.append(StepRecord(k, None, nid))
-            leg_maps.append({nid: nid})
-            new_ids.append(nid)
-            continue
-        base = amalgam.base_structure(pair)
-        ext = apply_code(base, pair.code, _fresh_id(pair.new_id, set(base.carrier)))
-        ext_new = ext.carrier[-1]
-        # Ask the sum to use our reserved fresh id by pre-renaming the extension.
-        if ext_new != nid:
-            rename = {x: x for x in base.carrier}
-            rename[ext_new] = nid
-            ext = FiniteStructure(tag, tuple(rename[x] for x in ext.carrier), ext.table)
-            ext_new = nid
-        span = Span(morphism_from_dict(base, ext, {x: x for x in base.carrier}),
-                    morphism_from_dict(base, current, {x: x for x in base.carrier}))
-        sq = amalgamated_sum(span)
-        current = sq.object
-        placed = sq.left_leg(ext_new)
-        taken.add(placed)
-        log.append(StepRecord(k, sq, placed))
-        leg_maps.append({x: sq.left_leg(x) for x in ext.carrier})
-        new_ids.append(placed)
-    root_embedding = morphism_from_dict(root, current, {x: x for x in root.carrier})
-    legs = []
-    for pair, lm, nid in zip(amalgam.pairs, leg_maps, new_ids):
-        base = amalgam.base_structure(pair)
-        if base is None:
-            ext = apply_code(None, pair.code, nid)
-            legs.append(morphism_from_dict(ext, current, {nid: nid}))
-        else:
-            ext = apply_code(base, pair.code, nid)
-            legs.append(morphism_from_dict(ext, current,
-                                           {**{x: x for x in base.carrier}, nid: nid}))
-    _check_free_sum(root, current, root_embedding, legs)
-    return FreeSum(amalgam, current, root_embedding, tuple(legs),
-                   tuple(new_ids), tuple(log))
-
-
-def _free_sum_relational_direct(amalgam: RootedMultiAmalgam) -> FreeSum:
-    """One-pass free sum for graphs, posets, and metric spaces.
-
-    Each arm adds one fresh point whose relations to the root follow its code;
-    relations between fresh points are exactly those forced through the root:
-    none for graphs, order composition for posets, min-plus routing for metric
-    spaces.
-    """
-    root = amalgam.root
-    tag = root.class_tag
+        return semilattice_subset_representation(amalgam, max_elements)
     n = len(root.carrier)
-    taken = set(root.carrier)
-    new_ids: list[str] = []
-    arms = []
-    for pair in amalgam.pairs:
-        nid = _fresh_id(pair.new_id, taken)
-        taken.add(nid)
-        new_ids.append(nid)
-        arms.append(pair)
+    exts = _arm_extensions(amalgam)
+    new_ids = [ext.carrier[-1] for ext in exts]
+    arms = amalgam.pairs
     carrier = root.carrier + tuple(new_ids)
     idx = {x: i for i, x in enumerate(carrier)}
     m = len(carrier)
@@ -232,12 +144,10 @@ def _free_sum_relational_direct(amalgam: RootedMultiAmalgam) -> FreeSum:
         for i in range(n):
             for j in range(n):
                 t[i][j] = root.table[i][j]
-        vecs = []
         for pair, nid in zip(arms, new_ids):
             code = dict(zip(pair.base_carrier, pair.code.code))
             vec = [min(code[w] + root.dist(w, a) for w in pair.base_carrier)
                    for a in root.carrier]
-            vecs.append(vec)
             for a, d in zip(root.carrier, vec):
                 t[idx[nid]][idx[a]] = t[idx[a]][idx[nid]] = d
         for i, x in enumerate(new_ids):
@@ -248,105 +158,90 @@ def _free_sum_relational_direct(amalgam: RootedMultiAmalgam) -> FreeSum:
                         for w in arms[i].base_carrier)
                 t[idx[x]][idx[y]] = t[idx[y]][idx[x]] = d
         obj = FiniteStructure(METRIC, carrier, tuple(map(tuple, t)))
-    root_embedding = morphism_from_dict(root, obj, {x: x for x in root.carrier})
-    legs = []
-    for pair, nid in zip(arms, new_ids):
-        base = amalgam.base_structure(pair)
-        if base is None:
-            ext = apply_code(None, pair.code, nid)
-            legs.append(morphism_from_dict(ext, obj, {nid: nid}))
-        else:
-            ext = apply_code(base, pair.code, nid)
-            legs.append(morphism_from_dict(ext, obj,
-                                           {**{x: x for x in base.carrier}, nid: nid}))
-    _check_free_sum(root, obj, root_embedding, legs)
-    return FreeSum(amalgam, obj, root_embedding, tuple(legs), tuple(new_ids), ())
+    return _checked_free_sum(amalgam, obj, exts)
 
 
-def _free_sum_semilattice_iterated(amalgam: RootedMultiAmalgam,
-                                   max_elements: int | None) -> FreeSum:
-    root = amalgam.root
-    current = root
-    parts = {x: (x,) for x in root.carrier}
-    taken = set(root.carrier)
-    log: list[StepRecord] = []
-    new_ids: list[str] = []
-    exts: list[FiniteStructure] = []
-    for k, pair in enumerate(amalgam.pairs):
+def _arm_extensions(amalgam: RootedMultiAmalgam) -> list[FiniteStructure]:
+    """Each arm's one-point extension; its fresh point, last in its carrier,
+    takes the requested id, renamed on collision with the root or earlier arms."""
+    taken = set(amalgam.root.carrier)
+    out = []
+    for pair in amalgam.pairs:
         nid = _fresh_id(pair.new_id, taken)
-        base = amalgam.base_structure(pair)
-        ext = apply_code(base, pair.code, nid)
-        span = Span(morphism_from_dict(base, ext, {x: x for x in base.carrier}),
-                    morphism_from_dict(base, current, {x: x for x in base.carrier}))
-        sq = amalgamated_sum(span, max_elements=max_elements)
-        placed = sq.left_leg(nid)
-        step_parts = sq.witness["parts"]
-        # Re-express ground parts of the step in terms of the original ground:
-        # the step ground is current's carrier plus the one fresh point.
-        new_parts = {}
-        for elem, ground in step_parts.items():
-            acc: list[str] = []
-            for g in ground:
-                acc.extend(parts.get(g, (g,)))
-            new_parts[elem] = tuple(dict.fromkeys(acc))
-        parts = new_parts
-        current = sq.object
-        taken = set(current.carrier)
-        log.append(StepRecord(k, sq, placed))
-        new_ids.append(placed)
-        exts.append(apply_code(base, pair.code, placed) if placed == nid else None)
-        if exts[-1] is None:
-            rename = {x: x for x in base.carrier}
-            rename[nid] = placed
-            exts[-1] = FiniteStructure(SEMILATTICE,
-                                       tuple(rename[x] for x in ext.carrier), ext.table)
-    root_embedding = morphism_from_dict(root, current, {x: x for x in root.carrier})
-    legs = [morphism_from_dict(ext, current, {x: x for x in ext.carrier})
-            for ext in exts]
-    _check_free_sum(root, current, root_embedding, legs)
-    return FreeSum(amalgam, current, root_embedding, tuple(legs),
-                   tuple(new_ids), tuple(log), ground_parts=parts)
+        taken.add(nid)
+        out.append(apply_code(amalgam.base_structure(pair), pair.code, nid))
+    return out
+
+
+def _checked_free_sum(amalgam: RootedMultiAmalgam, obj: FiniteStructure,
+                      exts, ground_parts=None) -> FreeSum:
+    """Package a free sum into which the root and every arm extension embed
+    by the identity on ids."""
+    root = amalgam.root
+    root_embedding = morphism_from_dict(root, obj, {x: x for x in root.carrier})
+    if not is_embedding(root_embedding):
+        raise InternalConsistencyError("root does not embed into the free sum")
+    legs = []
+    for ext in exts:
+        leg = morphism_from_dict(ext, obj, {x: x for x in ext.carrier})
+        if not is_embedding(leg):
+            raise InternalConsistencyError("an extension leg is not an embedding")
+        legs.append(leg)
+    return FreeSum(amalgam, obj, root_embedding, tuple(legs),
+                   tuple(ext.carrier[-1] for ext in exts), ground_parts=ground_parts)
 
 
 def semilattice_subset_representation(amalgam: RootedMultiAmalgam,
                                       max_elements: int | None = None) -> FreeSum:
     """One-shot free sum of a semilattice multi-amalgam by gluing all arms.
 
-    Independent of the iterated pushout path: the root and every one-point
-    extension enter a single multi-component glue over the shared ground.
+    The root and every one-point extension enter a single multi-component
+    glue over the shared ground.
     """
     root = amalgam.root
     if root.class_tag != SEMILATTICE:
         raise StructureError("subset representation applies to semilattices")
-    taken = set(root.carrier)
-    ground = list(root.carrier)
-    comps = [meetglue.GlueComponent.from_structure(root)]
-    new_ids = []
+    exts = _arm_extensions(amalgam)
+    comps = [meetglue.GlueComponent.from_structure(s) for s in [root] + exts]
+    ground = list(root.carrier) + [ext.carrier[-1] for ext in exts]
+    glued = meetglue.glue(comps, ground, max_elements=max_elements)
+    return _checked_free_sum(amalgam, glued.structure, exts,
+                             ground_parts=dict(glued.parts))
+
+
+def semilattice_iterated_sum(amalgam: RootedMultiAmalgam,
+                             max_elements: int | None = None) -> FreeSum:
+    """The semilattice free sum as a chain of two-term amalgamated sums.
+
+    Independent of `semilattice_subset_representation`, which the tests check
+    it against: the two must agree up to an isomorphism fixing the root and
+    matching fresh points.
+    """
+    root = amalgam.root
+    if root.class_tag != SEMILATTICE:
+        raise StructureError("iterated sum applies to semilattices")
+    current = root
+    parts = {x: (x,) for x in root.carrier}
     exts = []
     for pair in amalgam.pairs:
-        nid = _fresh_id(pair.new_id, taken)
-        taken.add(nid)
-        ground.append(nid)
+        nid = _fresh_id(pair.new_id, set(current.carrier))
         base = amalgam.base_structure(pair)
         ext = apply_code(base, pair.code, nid)
-        exts.append(ext)
-        new_ids.append(nid)
-        comps.append(meetglue.GlueComponent.from_structure(ext))
-    glued = meetglue.glue(comps, ground, max_elements=max_elements)
-    obj = glued.structure
-    root_embedding = morphism_from_dict(root, obj, {x: x for x in root.carrier})
-    legs = [morphism_from_dict(ext, obj, {x: x for x in ext.carrier}) for ext in exts]
-    _check_free_sum(root, obj, root_embedding, legs)
-    return FreeSum(amalgam, obj, root_embedding, tuple(legs), tuple(new_ids),
-                   (), ground_parts=dict(glued.parts))
-
-
-def _check_free_sum(root, obj, root_embedding, legs) -> None:
-    if not is_embedding(root_embedding):
-        raise InternalConsistencyError("root does not embed into the free sum")
-    for leg in legs:
-        if not is_embedding(leg):
-            raise InternalConsistencyError("an extension leg is not an embedding")
+        span = Span(morphism_from_dict(base, ext, {x: x for x in base.carrier}),
+                    morphism_from_dict(base, current, {x: x for x in base.carrier}))
+        sq = amalgamated_sum(span, max_elements=max_elements)
+        # Re-express ground parts of the step in terms of the original ground:
+        # the step ground is current's carrier plus the one fresh point.
+        new_parts = {}
+        for elem, ground in sq.witness["parts"].items():
+            acc: list[str] = []
+            for g in ground:
+                acc.extend(parts.get(g, (g,)))
+            new_parts[elem] = tuple(dict.fromkeys(acc))
+        parts = new_parts
+        current = sq.object
+        exts.append(ext)  # the sum keeps the fresh id: it is new to `current`
+    return _checked_free_sum(amalgam, current, exts, ground_parts=parts)
 
 
 def forced_root_isomorphism(s1: FiniteStructure, s2: FiniteStructure,
@@ -392,7 +287,7 @@ def free_sum_isomorphism(f1: FreeSum, f2: FreeSum,
     """Root-fixing isomorphism between two sums over the same root.
 
     `pairing[i]` names the pair of `f2` corresponding to pair i of `f1`
-    (identity when omitted, as for two strategies over the same pair list).
+    (identity when omitted, as for two constructions over the same pair list).
     The seed maps the shared root identically and matches the paired fresh
     points; for semilattices the rest of the map is forced by meets.
     """

@@ -15,7 +15,7 @@ from . import __version__, serialization, suites
 from .limits import CatalogParams, build_stages
 from .presets import antichain, edgeless_graph, free_semilattice, simplex
 from .structures import (GRAPH, METRIC, POSET, SEMILATTICE, FiniteStructure,
-                         StructureError, validate)
+                         StructureError)
 
 PRESET_CLASSES = {"edgeless": GRAPH, "antichain": POSET,
                   "simplex": METRIC, "freesemilattice": SEMILATTICE}

@@ -3,23 +3,21 @@ functoriality checks, and Cayley representations of finite semigroups."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .amalgam import FreeSum
-from .limits import Catalog, CatalogParams, StageChain, build_star, \
-    enumerate_extensions, star_amalgam
+from .limits import Catalog, CatalogParams, StageChain, build_star
 from .presets import antichain, edgeless_graph, free_semilattice, \
     free_semilattice_generators, simplex
 from .pushout import Span, pushout_1phep
 from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
-                         SEMILATTICE, ExtensionCode, FiniteStructure,
+                         SEMILATTICE, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
-                         apply_code, enumerate_homs,
-                         enumerate_isomorphisms_over_base, identity_morphism,
-                         induced_substructure, is_embedding, is_homomorphism,
-                         morphism_from_dict)
+                         apply_code, enumerate_codes, enumerate_homs,
+                         enumerate_isomorphisms_over_base, extension_code,
+                         identity_morphism, induced_substructure,
+                         is_embedding, is_homomorphism, morphism_from_dict)
 
 
 @dataclass(frozen=True)
@@ -50,27 +48,6 @@ def _image_base(root: FiniteStructure, phi: Morphism,
                 base: tuple[str, ...]) -> tuple[str, ...]:
     img = {phi(b) for b in base}
     return tuple(x for x in root.carrier if x in img)
-
-
-def _code_over_embedding(p: FiniteStructure, em: Morphism, new: str) -> ExtensionCode:
-    """Extension code of the point `new` of p over the embedded image of em."""
-    base = em.source.carrier
-    tag = p.class_tag
-    if tag == GRAPH:
-        code = tuple(b for b in base if p.adjacent(new, em(b)))
-    elif tag == POSET:
-        code = (tuple(b for b in base if p.leq(em(b), new)),
-                tuple(b for b in base if p.leq(new, em(b))))
-    elif tag == METRIC:
-        code = tuple(p.dist(new, em(b)) for b in base)
-    else:
-        back = {em(b): b for b in base}
-        vals = []
-        for b in base:
-            m = p.meet(new, em(b))
-            vals.append(None if m == new else back[m])
-        code = tuple(vals)
-    return ExtensionCode(tag, tuple(base), code)
 
 
 def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
@@ -119,15 +96,14 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
             target = None
         else:
             new = extra[0]
-            tcode = _code_over_embedding(p, em, new)
-            j = lookup.get((img, tcode))
+            q = _relabel(p, {**{em(b): b for b in bj.carrier}, new: new})
+            j = lookup.get((img, extension_code(q, img, new)))
             if j is None:
                 raise StructureError(
                     f"catalog has no entry for the transported extension type "
                     f"over base {img}; enlarge the catalog params")
             cj = apply_code(bj, catalog.entries[j][1], star.new_ids[j])
-            isos = enumerate_isomorphisms_over_base(
-                _relabel(p, {**{em(b): b for b in bj.carrier}, new: new}), cj, img)
+            isos = enumerate_isomorphisms_over_base(q, cj, img)
             if len(isos) != 1:
                 raise InternalConsistencyError(
                     f"{len(isos)} base-fixing isomorphisms onto the catalog "
@@ -276,7 +252,6 @@ def _cayley_catalog(root: FiniteStructure, class_tag: str,
     grid = (Fraction(1), Fraction(2)) if class_tag == METRIC else ()
     params = CatalogParams(1, grid)
     entries = []
-    from .structures import enumerate_codes
     for b in designated:
         base = induced_substructure(root, (b,))
         for code in enumerate_codes(class_tag, base,

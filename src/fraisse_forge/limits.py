@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .amalgam import (EMPTY_BASE_CLASSES, AmalgamPair, FreeSum,
                       RootedMultiAmalgam, free_sum)
-from .structures import (GRAPH, METRIC, POSET, SEMILATTICE, ExtensionCode,
+from .meetglue import SizeCeilingExceeded
+from .structures import (GRAPH, METRIC, SEMILATTICE, ExtensionCode,
                          FiniteStructure, InternalConsistencyError, Morphism,
-                         StructureError, apply_code, enumerate_codes,
-                         fresh_ids, induced_substructure, is_embedding,
-                         meet_closed_subsets, morphism_from_dict, validate)
+                         StructureError, enumerate_codes, fresh_ids,
+                         induced_substructure, meet_closed_subsets,
+                         point_codes, validate)
 
 DEFAULT_STAGE_CEILING = 5000
 STAGE_CEILING_ENV = "FORGE_MAX_CARRIER"
@@ -34,9 +35,11 @@ def stage_ceiling() -> int:
 
 
 class StageCeilingExceeded(StructureError):
+    """A stage outgrew the carrier ceiling; `size` is a lower bound on its size."""
+
     def __init__(self, stage: int, size: int, ceiling: int):
         super().__init__(
-            f"stage {stage} would have {size} elements, over the ceiling "
+            f"stage {stage} has at least {size} elements, over the ceiling "
             f"{ceiling}; raise {STAGE_CEILING_ENV} to proceed")
         self.stage = stage
         self.size = size
@@ -151,10 +154,8 @@ def build_stages(root: FiniteStructure, k: int, params: CatalogParams,
         cat = enumerate_extensions(stages[-1], params)
         try:
             fs = free_sum(star_amalgam(cat), max_elements=ceiling)
-        except Exception as e:
-            if getattr(e, "ceiling", None) is not None:
-                raise StageCeilingExceeded(n + 1, getattr(e, "reached", -1), ceiling)
-            raise
+        except SizeCeilingExceeded as e:
+            raise StageCeilingExceeded(n + 1, e.reached, ceiling) from e
         if len(fs.object.carrier) > ceiling:
             raise StageCeilingExceeded(n + 1, len(fs.object.carrier), ceiling)
         stages.append(fs.object)
@@ -175,39 +176,14 @@ class HomogeneityReport:
         return self.passed
 
 
-def _realizes(big: FiniteStructure, base_carrier: tuple[str, ...],
-              code: ExtensionCode, z: str) -> bool:
-    """Whether element z of `big` realizes the one-point extension code over
-    the (pointwise fixed) base."""
-    tag = big.class_tag
-    if z in base_carrier:
-        return False
-    if tag == GRAPH:
-        want = set(code.code)
-        return all(big.adjacent(z, b) == (b in want) for b in base_carrier)
-    if tag == POSET:
-        lo, up = set(code.code[0]), set(code.code[1])
-        return all(big.leq(b, z) == (b in lo) and big.leq(z, b) == (b in up)
-                   for b in base_carrier)
-    if tag == METRIC:
-        return all(big.dist(z, b) == d for b, d in zip(base_carrier, code.code))
-    for b, v in zip(base_carrier, code.code):
-        m = big.meet(z, b)
-        if v is None:
-            if m != z:
-                return False
-        elif m != v:
-            return False
-    return True
-
-
 def check_weak_homogeneity(chain: StageChain, stage: int = 0,
                            params: CatalogParams | None = None) -> HomogeneityReport:
     """Every catalog one-point extension of every F_stage substructure must be
     realized in F_{stage+1} by a point over the pointwise-fixed base.
 
-    The search is an independent scan over candidate witnesses, not a lookup
-    into the construction bookkeeping.
+    The search reads the code of every point of F_{stage+1} outside each base
+    and looks the catalog codes up among them; it never consults the
+    construction bookkeeping.
     """
     if stage + 1 >= len(chain.stages):
         raise StructureError("chain has no stage after the requested one")
@@ -215,13 +191,14 @@ def check_weak_homogeneity(chain: StageChain, stage: int = 0,
     small = chain.stages[stage]
     big = chain.stages[stage + 1]
     cat = enumerate_extensions(small, params)
-    checked = 0
+    realized: dict[tuple[str, ...], set] = {}
     misses = []
     for base_carrier, code in cat.entries:
-        checked += 1
-        if not any(_realizes(big, base_carrier, code, z) for z in big.carrier):
+        if base_carrier not in realized:
+            realized[base_carrier] = set(point_codes(big, base_carrier))
+        if code.code not in realized[base_carrier]:
             misses.append((base_carrier, code))
-    return HomogeneityReport(not misses, checked, tuple(misses))
+    return HomogeneityReport(not misses, len(cat.entries), tuple(misses))
 
 
 @dataclass(frozen=True)

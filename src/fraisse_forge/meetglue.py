@@ -47,10 +47,6 @@ class GlueResult:
     # canonical decomposition: carrier id -> minimal ground elements whose meet it is
     parts: dict[str, tuple[str, ...]]
 
-    def element_of_ground(self, g: str) -> str:
-        """Carrier id of the element generated by a single ground element."""
-        return g  # ground elements keep their ids by construction
-
 
 def glue(components: list[GlueComponent], ground_order: list[str],
          max_elements: int | None = None) -> GlueResult:

@@ -12,10 +12,9 @@ from . import meetglue
 from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
                          SEMILATTICE, BoundExceeded, ExtensionCode,
                          FiniteStructure, InternalConsistencyError, Morphism,
-                         StructureError, _fresh_id, classify, enumerate_homs,
-                         hom_count_within_bound, identity_morphism,
-                         is_embedding, is_homomorphism, is_surjection,
-                         morphism_from_dict, validate)
+                         StructureError, _fresh_id, apply_code, enumerate_homs,
+                         identity_morphism, is_embedding, is_homomorphism,
+                         is_surjection, morphism_from_dict, validate)
 
 _VALIDATE_RESULT_LIMIT = 64  # full axiom validation of constructed objects up to this size
 
@@ -92,7 +91,7 @@ def pushout_1phep(span: Span) -> PushoutSquare:
         neighbors = sorted({f[w] for w in c.carrier
                             if w != x and c.adjacent(x, w)},
                            key=bp.index)
-        obj = _graph_adjoin(bp, xp, neighbors)
+        obj = apply_code(bp, ExtensionCode(GRAPH, bp.carrier, tuple(neighbors)), xp)
         left_leg = morphism_from_dict(c, obj, {**{w: f[w] for w in f}, x: xp})
         right_leg = morphism_from_dict(bp, obj, {e: e for e in bp.carrier})
         witness = {"case": "adjoin", "new_point": xp, "neighbors": tuple(neighbors)}
@@ -111,7 +110,11 @@ def pushout_1phep(span: Span) -> PushoutSquare:
             witness = {"case": "collapse", "collapse_point": y0}
         else:
             xp = _fresh_id("x*", set(bp.carrier))
-            obj = _poset_insert(bp, xp, lower, upper)
+            down = tuple(p for p in bp.carrier if any(bp.leq(p, w) for w in lower))
+            up = tuple(p for p in bp.carrier if any(bp.leq(w, p) for w in upper))
+            if set(down) & set(up):
+                raise InternalConsistencyError("poset insertion broke antisymmetry")
+            obj = apply_code(bp, ExtensionCode(POSET, bp.carrier, (down, up)), xp)
             left_leg = morphism_from_dict(c, obj, {**{w: f[w] for w in f}, x: xp})
             right_leg = morphism_from_dict(bp, obj, {e: e for e in bp.carrier})
             witness = {"case": "insert", "new_point": xp}
@@ -120,7 +123,7 @@ def pushout_1phep(span: Span) -> PushoutSquare:
         base_elems = [w for w in c.carrier if w != x]
         vec = tuple(min(c.dist(x, w) + bp.dist(f[w], p) for w in base_elems)
                     for p in bp.carrier)
-        obj = _metric_adjoin(bp, xp, vec)
+        obj = apply_code(bp, ExtensionCode(METRIC, bp.carrier, vec), xp)
         left_leg = morphism_from_dict(c, obj, {**{w: f[w] for w in f}, x: xp})
         right_leg = morphism_from_dict(bp, obj, {e: e for e in bp.carrier})
         witness = {"case": "adjoin", "new_point": xp,
@@ -150,40 +153,6 @@ def pushout_1phep(span: Span) -> PushoutSquare:
     if not is_embedding(right_leg):
         raise InternalConsistencyError("1PHEP right leg is not an embedding")
     return PushoutSquare(span, obj, left_leg, right_leg, witness)
-
-
-def _graph_adjoin(g: FiniteStructure, new: str, neighbors) -> FiniteStructure:
-    nb = set(neighbors)
-    n = len(g.carrier)
-    row = tuple(g.carrier[i] in nb for i in range(n))
-    table = tuple(g.table[i] + (row[i],) for i in range(n)) + (row + (False,),)
-    return FiniteStructure(GRAPH, g.carrier + (new,), table)
-
-
-def _poset_insert(p: FiniteStructure, new: str, lower, upper) -> FiniteStructure:
-    n = len(p.carrier)
-    below = [p.carrier[i] in lower for i in range(n)]
-    above = [p.carrier[i] in upper for i in range(n)]
-    leq = [list(p.table[i]) + [below[i]] for i in range(n)]
-    leq.append(above + [True])
-    m = n + 1
-    for k in range(m):
-        for i in range(m):
-            if leq[i][k]:
-                for j in range(m):
-                    if leq[k][j]:
-                        leq[i][j] = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            if leq[i][j] and leq[j][i]:
-                raise InternalConsistencyError("poset insertion broke antisymmetry")
-    return FiniteStructure(POSET, p.carrier + (new,), tuple(map(tuple, leq)))
-
-
-def _metric_adjoin(m: FiniteStructure, new: str, vec) -> FiniteStructure:
-    n = len(m.carrier)
-    table = tuple(m.table[i] + (vec[i],) for i in range(n)) + (tuple(vec) + (Fraction(0),),)
-    return FiniteStructure(METRIC, m.carrier + (new,), table)
 
 
 # ---------------------------------------------------------------------------

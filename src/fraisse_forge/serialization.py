@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .structures import (CLASS_TAGS, GRAPH, METRIC, POSET, SEMILATTICE,
-                         FiniteStructure, StructureError, validate)
+from .structures import (CLASS_TAGS, GRAPH, METRIC, POSET, FiniteStructure,
+                         StructureError, validate)
 
 
 def to_document(s: FiniteStructure) -> dict:

@@ -499,21 +499,49 @@ class ExtensionCode:
         return ExtensionCode(self.class_tag, tuple(base_map[b] for b in order), code)
 
 
-def extension_code(ext: FiniteStructure, base: tuple[str, ...], new: str) -> ExtensionCode:
-    """Read off the canonical code of the one-point extension `ext` of `base`."""
-    if set(ext.carrier) != set(base) | {new}:
-        raise StructureError("carrier is not base plus the new point")
-    tag = ext.class_tag
+def _position(s: FiniteStructure, x: str) -> int:
+    try:
+        return s.carrier.index(x)
+    except ValueError:
+        raise StructureError(f"{x!r} is not in the structure") from None
+
+
+def _code_reader(s: FiniteStructure, base: tuple[str, ...]):
+    """Reader of raw code tuples over `base`: carrier position -> code.
+
+    The one per-class rule for reading a point's extension code off the
+    tables; `extension_code` and `point_codes` both go through it.
+    """
+    t, c = s.table, s.carrier
+    cols = tuple((b, _position(s, b)) for b in base)
+    tag = s.class_tag
     if tag == GRAPH:
-        code = tuple(b for b in base if ext.adjacent(new, b))
-    elif tag == POSET:
-        code = (tuple(b for b in base if ext.leq(b, new) and b != new),
-                tuple(b for b in base if ext.leq(new, b) and b != new))
-    elif tag == METRIC:
-        code = tuple(ext.dist(new, b) for b in base)
-    else:
-        code = tuple(None if ext.meet(new, b) == new else ext.meet(new, b) for b in base)
-    return ExtensionCode(tag, tuple(base), code)
+        return lambda z: tuple(b for b, i in cols if t[z][i])
+    if tag == POSET:
+        return lambda z: (tuple(b for b, i in cols if t[i][z]),
+                          tuple(b for b, i in cols if t[z][i]))
+    if tag == METRIC:
+        return lambda z: tuple(t[z][i] for _, i in cols)
+    return lambda z: tuple(None if t[z][i] == z else c[t[z][i]] for _, i in cols)
+
+
+def extension_code(s: FiniteStructure, base: tuple[str, ...], z: str) -> ExtensionCode:
+    """Code of the point `z` of `s` over `base`, both inside `s`.
+
+    `s` may hold points beyond `base` and `z`.  For semilattices a meet that
+    leaves `base` and `z` shows up as its own id, so such a code matches no
+    code that `enumerate_codes` produces.
+    """
+    if z in base:
+        raise StructureError(f"{z!r} lies in the base")
+    return ExtensionCode(s.class_tag, tuple(base), _code_reader(s, base)(_position(s, z)))
+
+
+def point_codes(s: FiniteStructure, base: tuple[str, ...]) -> list[tuple]:
+    """Raw code tuple of every point of `s` outside `base`, in carrier order."""
+    read = _code_reader(s, base)
+    skip = set(base)
+    return [read(z) for z, x in enumerate(s.carrier) if x not in skip]
 
 
 def apply_code(base: FiniteStructure | None, code: ExtensionCode,

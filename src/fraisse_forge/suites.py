@@ -10,17 +10,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .limits import (CatalogParams, StageChain, build_stages,
-                     check_graph_extension_property, check_weak_homogeneity,
-                     enumerate_extensions)
+from .limits import (CatalogParams, build_stages, build_star,
+                     check_weak_homogeneity, enumerate_extensions)
 from .lifting import cayley_demo, endomorphisms, lift
-from .limits import build_star
-from .pushout import (Span, all_structures, amalgamated_sum, pushout_1phep,
-                      verify_universal_property)
-from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
-                         SEMILATTICE, BoundExceeded, FiniteStructure,
-                         apply_code, enumerate_codes, enumerate_homs,
-                         is_surjection, morphism_from_dict, validate)
+from .pushout import Span, all_structures, pushout_1phep, verify_universal_property
+from .structures import (DEFAULT_HOM_BOUND_BITS, METRIC, BoundExceeded,
+                         FiniteStructure, apply_code, enumerate_codes,
+                         enumerate_homs, is_surjection, morphism_from_dict,
+                         validate)
 
 DEFAULT_ORACLE_GRID = (Fraction(1), Fraction(2), Fraction(3))
 

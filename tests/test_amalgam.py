@@ -11,6 +11,7 @@ from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, AmalgamPair,
                            enumerate_homs, forced_root_isomorphism, free_sum,
                            free_sum_isomorphism, induced_substructure,
                            is_embedding, morphism_from_dict,
+                           semilattice_iterated_sum,
                            semilattice_subset_representation, validate)
 from fraisse_forge.presets import (antichain, edgeless_graph,
                                    free_semilattice, semilattice_from_meets,
@@ -48,8 +49,7 @@ class TestConstruction:
         code = ExtensionCode(SEMILATTICE, ("a",), (None,))
         ma = RootedMultiAmalgam(root, (AmalgamPair(("a",), code, "x"),
                                        AmalgamPair(("a",), code, "y")))
-        for strategy in ("direct", "iterated"):
-            fs = free_sum(ma, strategy=strategy)
+        for fs in (free_sum(ma), semilattice_iterated_sum(ma)):
             s = fs.object
             assert len(s.carrier) == 4
             assert s.meet("x", "y") not in ("a", "x", "y")
@@ -120,7 +120,7 @@ class TestCoherence:
     def test_semilattice_iterated_equals_subset_representation(self):
         checked = 0
         for ma in all_small_amalgams(SEMILATTICE):
-            it = free_sum(ma, strategy="iterated")
+            it = semilattice_iterated_sum(ma)
             di = semilattice_subset_representation(ma)
             assert free_sum_isomorphism(it, di) is not None
             checked += 1

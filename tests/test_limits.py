@@ -11,7 +11,7 @@ from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, Catalog,
                            build_star, check_graph_extension_property,
                            check_weak_homogeneity, enumerate_codes,
                            enumerate_extensions, induced_substructure,
-                           validate)
+                           is_embedding, morphism_from_dict, validate)
 from fraisse_forge.limits import STAGE_CEILING_ENV, stage_ceiling
 from fraisse_forge.presets import (antichain, edgeless_graph,
                                    free_semilattice, simplex)
@@ -112,6 +112,16 @@ class TestStages:
             build_stages(edgeless_graph(2), 2, CatalogParams(2), ceiling=20)
         assert exc.value.stage == 2
 
+    def test_glue_ceiling_reports_lower_bound(self):
+        # the glue stops at the first element past the ceiling, so the
+        # refusal can only bound the stage size from below
+        with pytest.raises(StageCeilingExceeded) as exc:
+            build_stages(free_semilattice(2), 1, CatalogParams(2), ceiling=100)
+        assert exc.value.stage == 1 and exc.value.size == 101
+        assert "at least 101 elements" in str(exc.value)
+        full = build_stages(free_semilattice(2), 1, CatalogParams(2))
+        assert len(full.stages[1].carrier) == 287
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(STAGE_CEILING_ENV, "7")
         assert stage_ceiling() == 7
@@ -133,16 +143,32 @@ class TestWeakHomogeneity:
         rep = check_weak_homogeneity(chain)
         assert rep.passed and rep.checked > 0
 
-    def test_corrupted_chain_detected(self):
-        chain = build_stages(edgeless_graph(2), 1, CatalogParams(2))
+    @pytest.mark.parametrize("root,params", [
+        (edgeless_graph(2), CatalogParams(2)),
+        (antichain(2), CatalogParams(2)),
+        (simplex(2, 1), CatalogParams(2, GRID12))], ids=[GRAPH, POSET, METRIC])
+    def test_corrupted_chain_detected(self, root, params):
+        chain = build_stages(root, 1, params)
         f1 = chain.stages[1]
-        # delete one fresh vertex from F1: some extension loses its witness
-        pruned = induced_substructure(f1, [x for x in f1.carrier if x != "x8"])
+
+        def realizers(base, code):
+            # witnesses found by embedding the extension, not by reading codes
+            sub = induced_substructure(root, base) if base else None
+            ext = apply_code(sub, code, "probe")
+            return [z for z in f1.carrier if z not in base and is_embedding(
+                morphism_from_dict(ext, f1, {**{b: b for b in base}, "probe": z}))]
+
+        # delete a fresh point of F1 that alone realizes its catalog entry
+        entry, nid = next(
+            (entry, nid) for entry, nid in zip(chain.catalogs[0].entries,
+                                               chain.stars[0].new_ids)
+            if realizers(*entry) == [nid])
+        pruned = induced_substructure(f1, [x for x in f1.carrier if x != nid])
         broken = type(chain)(
             (chain.stages[0], pruned), chain.inclusions, chain.catalogs,
             chain.stars, chain.params)
         rep = check_weak_homogeneity(broken)
-        assert not rep.passed and rep.misses
+        assert not rep.passed and rep.misses == (entry,)
 
     def test_requires_next_stage(self):
         chain = build_stages(edgeless_graph(2), 0, CatalogParams(2))

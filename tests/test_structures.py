@@ -15,6 +15,7 @@ from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, BoundExceeded,
                            generate, identity_morphism, induced_substructure,
                            is_embedding, katetov_admissible,
                            morphism_from_dict, validate)
+from fraisse_forge.limits import CatalogParams, build_star, enumerate_extensions
 from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    free_semilattice, graph_from_edges,
                                    metric_from_distances, poset_from_pairs,
@@ -240,6 +241,20 @@ class TestExtensionCodes:
                 ext = apply_code(base, code, "new")
                 assert validate(ext).ok
                 assert extension_code(ext, base.carrier, "new") == code
+
+    def test_read_in_star_all_classes(self):
+        # each arm's fresh point shares the star with every other arm and
+        # still carries exactly its catalog code over its base
+        cases = [(edgeless_graph(2), CatalogParams(2)),
+                 (antichain(2), CatalogParams(2)),
+                 (simplex(2, 1), CatalogParams(2, (Fraction(1), Fraction(2)))),
+                 (free_semilattice(2), CatalogParams(2))]
+        for root, params in cases:
+            catalog = enumerate_extensions(root, params)
+            star = build_star(root, catalog)
+            assert len(star.object.carrier) > len(root.carrier) + 1
+            for (base, code), nid in zip(catalog.entries, star.new_ids):
+                assert extension_code(star.object, base, nid) == code
 
     def test_code_equality_iff_iso_over_base(self):
         # brute-force cross-check on a 2-element poset base

@@ -3,21 +3,18 @@
 A rooted multi-amalgam is a root structure A together with a finite list of
 one-point extensions, each given by a base substructure of A (possibly empty
 for graphs and posets) and an extension code over that base.  Its free sum is
-the colimit obtained by amalgamating every extension over A.  Each class has
-one construction: graphs, posets and metric spaces add all fresh points in one
-pass, and semilattices glue all arms at once (the subset representation).  The
+the colimit obtained by amalgamating every extension over A: one
+`pushout.free_amalgam` with the root as hub and the extensions as spokes.  The
 semilattice iterated sum, a chain of two-term pushouts, is kept as the
-independent reference that the tests compare the subset representation with.
+independent reference that the tests compare the free sum with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import meetglue
-from .pushout import Span, amalgamated_sum
-from .structures import (GRAPH, ISOMORPHISM, METRIC, POSET, SEMILATTICE,
+from .pushout import Span, amalgamated_sum, free_amalgam
+from .structures import (GRAPH, ISOMORPHISM, POSET, SEMILATTICE,
                          ExtensionCode, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
                          _fresh_id, apply_code, classify,
@@ -83,82 +80,14 @@ def free_sum(amalgam: RootedMultiAmalgam,
              max_elements: int | None = None) -> FreeSum:
     """Free sum of a rooted multi-amalgam, all arms in one pass.
 
-    Semilattices use the subset representation, where `max_elements` bounds
-    the glued carrier.  For graphs, posets and metric spaces each arm adds one
-    fresh point whose relations to the root follow its code; relations
-    between fresh points are exactly those forced through the root: none for
-    graphs, order composition for posets, min-plus routing for metric spaces.
+    The root is the hub of one `pushout.free_amalgam` and each arm's one-point
+    extension a spoke; for semilattices `max_elements` bounds the glued
+    carrier.
     """
-    root = amalgam.root
-    tag = root.class_tag
-    if tag == SEMILATTICE:
-        return semilattice_subset_representation(amalgam, max_elements)
-    n = len(root.carrier)
     exts = _arm_extensions(amalgam)
-    new_ids = [ext.carrier[-1] for ext in exts]
-    arms = amalgam.pairs
-    carrier = root.carrier + tuple(new_ids)
-    idx = {x: i for i, x in enumerate(carrier)}
-    m = len(carrier)
-    if tag == GRAPH:
-        t = [[False] * m for _ in range(m)]
-        for i in range(n):
-            for j in range(n):
-                t[i][j] = root.table[i][j]
-        for pair, nid in zip(arms, new_ids):
-            for b in pair.code.code:
-                t[idx[nid]][idx[b]] = t[idx[b]][idx[nid]] = True
-        obj = FiniteStructure(GRAPH, carrier, tuple(map(tuple, t)))
-    elif tag == POSET:
-        t = [[i == j for j in range(m)] for i in range(m)]
-        for i in range(n):
-            for j in range(n):
-                if root.table[i][j]:
-                    t[i][j] = True
-        downs = []
-        ups = []
-        for pair, nid in zip(arms, new_ids):
-            lo, up = pair.code.code
-            down = {a for a in root.carrier if any(root.leq(a, b) for b in lo)}
-            upper = {a for a in root.carrier if any(root.leq(b, a) for b in up)}
-            downs.append(down)
-            ups.append(upper)
-            for a in down:
-                t[idx[a]][idx[nid]] = True
-            for a in upper:
-                t[idx[nid]][idx[a]] = True
-        for i, x in enumerate(new_ids):
-            for j, y in enumerate(new_ids):
-                if i != j and ups[i] & downs[j]:
-                    t[idx[x]][idx[y]] = True
-        for i, x in enumerate(new_ids):
-            if t[idx[x]][idx[x]] is not True:
-                raise InternalConsistencyError("lost reflexivity on a fresh point")
-            for j, y in enumerate(new_ids):
-                if i != j and t[idx[x]][idx[y]] and t[idx[y]][idx[x]]:
-                    raise InternalConsistencyError(
-                        f"free poset sum broke antisymmetry at ({x}, {y})")
-        obj = FiniteStructure(POSET, carrier, tuple(map(tuple, t)))
-    else:
-        t = [[Fraction(0)] * m for _ in range(m)]
-        for i in range(n):
-            for j in range(n):
-                t[i][j] = root.table[i][j]
-        for pair, nid in zip(arms, new_ids):
-            code = dict(zip(pair.base_carrier, pair.code.code))
-            vec = [min(code[w] + root.dist(w, a) for w in pair.base_carrier)
-                   for a in root.carrier]
-            for a, d in zip(root.carrier, vec):
-                t[idx[nid]][idx[a]] = t[idx[a]][idx[nid]] = d
-        for i, x in enumerate(new_ids):
-            code_x = dict(zip(arms[i].base_carrier, arms[i].code.code))
-            for j in range(i + 1, len(new_ids)):
-                y = new_ids[j]
-                d = min(code_x[w] + t[idx[w]][idx[y]]
-                        for w in arms[i].base_carrier)
-                t[idx[x]][idx[y]] = t[idx[y]][idx[x]] = d
-        obj = FiniteStructure(METRIC, carrier, tuple(map(tuple, t)))
-    return _checked_free_sum(amalgam, obj, exts)
+    obj, parts = free_amalgam(amalgam.root, [(ext, ext.carrier) for ext in exts],
+                              max_elements=max_elements)
+    return _checked_free_sum(amalgam, obj, exts, ground_parts=parts)
 
 
 def _arm_extensions(amalgam: RootedMultiAmalgam) -> list[FiniteStructure]:
@@ -191,31 +120,13 @@ def _checked_free_sum(amalgam: RootedMultiAmalgam, obj: FiniteStructure,
                    tuple(ext.carrier[-1] for ext in exts), ground_parts=ground_parts)
 
 
-def semilattice_subset_representation(amalgam: RootedMultiAmalgam,
-                                      max_elements: int | None = None) -> FreeSum:
-    """One-shot free sum of a semilattice multi-amalgam by gluing all arms.
-
-    The root and every one-point extension enter a single multi-component
-    glue over the shared ground.
-    """
-    root = amalgam.root
-    if root.class_tag != SEMILATTICE:
-        raise StructureError("subset representation applies to semilattices")
-    exts = _arm_extensions(amalgam)
-    comps = [meetglue.GlueComponent.from_structure(s) for s in [root] + exts]
-    ground = list(root.carrier) + [ext.carrier[-1] for ext in exts]
-    glued = meetglue.glue(comps, ground, max_elements=max_elements)
-    return _checked_free_sum(amalgam, glued.structure, exts,
-                             ground_parts=dict(glued.parts))
-
-
 def semilattice_iterated_sum(amalgam: RootedMultiAmalgam,
                              max_elements: int | None = None) -> FreeSum:
     """The semilattice free sum as a chain of two-term amalgamated sums.
 
-    Independent of `semilattice_subset_representation`, which the tests check
-    it against: the two must agree up to an isomorphism fixing the root and
-    matching fresh points.
+    Independent of the one-glue `free_sum`, which the tests check it against:
+    the two must agree up to an isomorphism fixing the root and matching
+    fresh points.
     """
     root = amalgam.root
     if root.class_tag != SEMILATTICE:

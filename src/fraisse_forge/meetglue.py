@@ -24,12 +24,12 @@ class GlueComponent:
     meet: tuple[tuple[int, ...], ...]  # component-local meet table
 
     @staticmethod
-    def from_structure(s: FiniteStructure, rename: dict[str, str] | None = None
+    def from_structure(s: FiniteStructure, ids: tuple[str, ...] | None = None
                        ) -> "GlueComponent":
+        """`ids[i]` is the ground id of carrier element i (default: its own id)."""
         if s.class_tag != SEMILATTICE:
             raise InternalConsistencyError("glue components must be semilattices")
-        rename = rename or {}
-        return GlueComponent(tuple(rename.get(x, x) for x in s.carrier), s.table)
+        return GlueComponent(tuple(s.carrier if ids is None else ids), s.table)
 
 
 class SizeCeilingExceeded(Exception):
@@ -43,7 +43,6 @@ class SizeCeilingExceeded(Exception):
 @dataclass(frozen=True)
 class GlueResult:
     structure: FiniteStructure
-    ground_ids: tuple[str, ...]
     # canonical decomposition: carrier id -> minimal ground elements whose meet it is
     parts: dict[str, tuple[str, ...]]
 
@@ -184,4 +183,4 @@ def glue(components: list[GlueComponent], ground_order: list[str],
     structure = FiniteStructure(SEMILATTICE, carrier, table)
     parts = {names[m]: tuple(ground_order[g] for g in minimal_antichain(m))
              for m in ordered}
-    return GlueResult(structure, tuple(ground_order), parts)
+    return GlueResult(structure, parts)

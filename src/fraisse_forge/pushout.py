@@ -159,17 +159,110 @@ def pushout_1phep(span: Span) -> PushoutSquare:
 # Amalgamated free sums (strict AP)
 # ---------------------------------------------------------------------------
 
+def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
+                 ) -> tuple[FiniteStructure, dict[str, tuple[str, ...]] | None]:
+    """Free amalgam of the spokes over their shared hub.
+
+    Each spoke is `(structure, ids)`: `ids[i]` names spoke element i in the
+    result, a hub id where the spoke meets the hub (those points must form an
+    induced copy of the hub's) and a fresh id otherwise.  The carrier is the
+    hub's followed by the fresh ids in spoke order.  Semilattices are glued
+    by `meetglue.glue`, with `max_elements` bounding the result, and `parts`
+    is its ground decomposition.  Graphs, posets and metric spaces keep the
+    hub's and each spoke's relations and add only those forced through the
+    hub: none for graphs, order composition for posets, min-plus routing for
+    metric spaces; `parts` is None for them.
+    """
+    tag = hub.class_tag
+    n = len(hub.carrier)
+    pos = {x: i for i, x in enumerate(hub.carrier)}
+    carrier = list(hub.carrier)
+    arms = []  # per spoke: structure, result positions, base and fresh spoke indices
+    for s, ids in spokes:
+        if s.class_tag != tag:
+            raise StructureError("spoke class differs from the hub's")
+        for x in ids:
+            if x not in pos:
+                pos[x] = len(carrier)
+                carrier.append(x)
+            elif pos[x] >= n:
+                raise StructureError(f"fresh id {x!r} named twice")
+        at = [pos[x] for x in ids]
+        arms.append((s, at, [k for k, p in enumerate(at) if p < n],
+                     [k for k, p in enumerate(at) if p >= n]))
+    if tag == SEMILATTICE:
+        comps = [meetglue.GlueComponent.from_structure(hub)] + [
+            meetglue.GlueComponent.from_structure(s, ids) for s, ids in spokes]
+        glued = meetglue.glue(comps, carrier, max_elements=max_elements)
+        return glued.structure, glued.parts
+    m = len(carrier)
+    zero = Fraction(0) if tag == METRIC else False
+    t = [list(row) + [zero] * (m - n) for row in hub.table] + \
+        [[zero] * m for _ in range(m - n)]
+    ht = hub.table
+    if tag == POSET:
+        up = [sum(1 << h for h in range(n) if ht[b][h]) for b in range(n)]
+        down = [sum(1 << h for h in range(n) if ht[h][b]) for b in range(n)]
+        fresh = []  # (spoke number, position, hub up-set, hub down-set)
+        for a, (s, at, base, new) in enumerate(arms):
+            st = s.table
+            for k in new:
+                ux = dx = 0
+                for kb in base:
+                    if st[k][kb]:
+                        ux |= up[at[kb]]
+                    if st[kb][k]:
+                        dx |= down[at[kb]]
+                row = t[at[k]]
+                for h in range(n):
+                    row[h] = bool(ux >> h & 1)
+                    t[h][at[k]] = bool(dx >> h & 1)
+                fresh.append((a, at[k], ux, dx))
+        for a, p, ux, _ in fresh:
+            for b, q, _, dy in fresh:
+                if a != b:
+                    t[p][q] = bool(ux & dy)
+    elif tag == METRIC:
+        fresh = []  # (spoke number, position, (hub position, distance) per base point)
+        for a, (s, at, base, new) in enumerate(arms):
+            st = s.table
+            for k in new:
+                via = [(at[kb], st[k][kb]) for kb in base]
+                row = t[at[k]]
+                for h in range(n):
+                    row[h] = t[h][at[k]] = min(d + ht[q][h] for q, d in via)
+                fresh.append((a, at[k], via))
+        for i, (a, p, _) in enumerate(fresh):
+            row = t[p]
+            for b, q, via in fresh[i + 1:]:
+                if a != b:
+                    row[q] = t[q][p] = min(row[r] + d for r, d in via)
+    for s, at, _, new in arms:
+        st = s.table
+        for k in new:
+            for j, q in enumerate(at):
+                t[at[k]][q] = st[k][j]
+                t[q][at[k]] = st[j][k]
+    if tag == POSET:
+        for p in range(n, m):
+            for q in range(p):
+                if t[p][q] and t[q][p]:
+                    raise InternalConsistencyError(
+                        f"free poset amalgam broke antisymmetry at "
+                        f"({carrier[q]}, {carrier[p]})")
+    return FiniteStructure(tag, tuple(carrier), tuple(map(tuple, t))), None
+
+
 def amalgamated_sum(span: Span, max_elements: int | None = None) -> PushoutSquare:
     """Free amalgamated sum of two embeddings out of a common base.
 
-    The right leg's target keeps its carrier ids in the result; fresh elements
-    coming from the left target are renamed only on collision.  Both result
-    legs are embeddings (asserted).
+    The right leg's target is the hub of a `free_amalgam` and keeps its
+    carrier ids in the result; fresh elements coming from the left target are
+    renamed only on collision.  Both result legs are embeddings (asserted).
     """
     if not is_embedding(span.left) or not is_embedding(span.right):
         raise StructureError("amalgamated sum needs two embeddings")
     b, y, z = span.apex, span.left.target, span.right.target
-    tag = b.class_tag
     into_z = {span.left(e): span.right(e) for e in b.carrier}
     taken = set(z.carrier)
     rename: dict[str, str] = {}
@@ -179,85 +272,15 @@ def amalgamated_sum(span: Span, max_elements: int | None = None) -> PushoutSquar
         else:
             rename[e] = _fresh_id(e, taken)
             taken.add(rename[e])
-    new_elems = [e for e in y.carrier if e not in into_z]
-
-    if tag == SEMILATTICE:
-        ground = list(z.carrier) + [rename[e] for e in new_elems]
-        comps = [meetglue.GlueComponent.from_structure(z),
-                 meetglue.GlueComponent.from_structure(y, rename)]
-        glued = meetglue.glue(comps, ground, max_elements=max_elements)
-        obj = glued.structure
-        witness = {"case": "glue", "ground": glued.ground_ids, "parts": glued.parts}
-    elif tag == METRIC:
-        glue_elems = [span.right(e) for e in b.carrier]
-        carrier = tuple(z.carrier) + tuple(rename[e] for e in new_elems)
-        d: dict[tuple[str, str], Fraction] = {}
-
-        def dist(u, v):
-            return d[(u, v)] if u != v else Fraction(0)
-
-        for u, v in itertools.combinations(z.carrier, 2):
-            d[(u, v)] = d[(v, u)] = z.dist(u, v)
-        for u, v in itertools.combinations(new_elems, 2):
-            d[(rename[u], rename[v])] = d[(rename[v], rename[u])] = y.dist(u, v)
-        for u in new_elems:
-            for v in z.carrier:
-                if v in set(glue_elems):
-                    continue
-                dd = min(y.dist(u, span.left(e)) + z.dist(span.right(e), v)
-                         for e in b.carrier)
-                d[(rename[u], v)] = d[(v, rename[u])] = dd
-        for u in new_elems:
-            for e in b.carrier:
-                d[(rename[u], span.right(e))] = d[(span.right(e), rename[u])] = \
-                    y.dist(u, span.left(e))
-        table = tuple(tuple(dist(u, v) for v in carrier) for u in carrier)
-        obj = FiniteStructure(METRIC, carrier, table)
-        witness = {"case": "glue", "glue_points": tuple(glue_elems)}
-    else:
-        carrier = tuple(z.carrier) + tuple(rename[e] for e in new_elems)
-        idx = {e: i for i, e in enumerate(carrier)}
-        n = len(carrier)
-        if tag == GRAPH:
-            t = [[False] * n for _ in range(n)]
-            for u, v in itertools.combinations(z.carrier, 2):
-                if z.adjacent(u, v):
-                    t[idx[u]][idx[v]] = t[idx[v]][idx[u]] = True
-            for u, v in itertools.combinations(y.carrier, 2):
-                if y.adjacent(u, v):
-                    t[idx[rename[u]]][idx[rename[v]]] = True
-                    t[idx[rename[v]]][idx[rename[u]]] = True
-            obj = FiniteStructure(GRAPH, carrier, tuple(map(tuple, t)))
-        else:
-            t = [[i == j for j in range(n)] for i in range(n)]
-            for u in z.carrier:
-                for v in z.carrier:
-                    if z.leq(u, v):
-                        t[idx[u]][idx[v]] = True
-            for u in y.carrier:
-                for v in y.carrier:
-                    if y.leq(u, v):
-                        t[idx[rename[u]]][idx[rename[v]]] = True
-            for k in range(n):
-                for i in range(n):
-                    if t[i][k]:
-                        for j in range(n):
-                            if t[k][j]:
-                                t[i][j] = True
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if t[i][j] and t[j][i]:
-                        raise InternalConsistencyError(
-                            "amalgamated poset sum broke antisymmetry")
-            obj = FiniteStructure(POSET, carrier, tuple(map(tuple, t)))
-        witness = {"case": "union"}
-
+    obj, parts = free_amalgam(z, [(y, tuple(rename[e] for e in y.carrier))],
+                              max_elements=max_elements)
     left_leg = morphism_from_dict(y, obj, rename)
     right_leg = morphism_from_dict(z, obj, {e: e for e in z.carrier})
     _maybe_validate(obj, "amalgamated sum")
     if not is_embedding(left_leg) or not is_embedding(right_leg):
         raise InternalConsistencyError("amalgamated sum leg is not an embedding")
-    return PushoutSquare(span, obj, left_leg, right_leg, witness)
+    return PushoutSquare(span, obj, left_leg, right_leg,
+                         {"case": "glue", "parts": parts})
 
 
 # ---------------------------------------------------------------------------

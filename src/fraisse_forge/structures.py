@@ -45,7 +45,6 @@ class ValidationReport:
     ok: bool
     error: str | None = None
     witness: tuple | None = None
-    structural: bool = False  # table shape problem, as opposed to an axiom failure
 
     def __bool__(self) -> bool:
         return self.ok
@@ -103,35 +102,34 @@ class FiniteStructure:
         return self.carrier[self.table[self.index(u)][self.index(v)]]
 
 
-def _structural_check(s: FiniteStructure) -> ValidationReport:
+def _shape_check(s: FiniteStructure) -> ValidationReport:
     n = len(s.carrier)
     if n == 0:
-        return ValidationReport(False, "empty carrier", structural=True)
+        return ValidationReport(False, "empty carrier")
     if len(set(s.carrier)) != n:
-        return ValidationReport(False, "duplicate carrier ids", structural=True)
+        return ValidationReport(False, "duplicate carrier ids")
     if len(s.table) != n or any(len(row) != n for row in s.table):
-        return ValidationReport(False, "table dimensions do not match carrier",
-                                structural=True)
+        return ValidationReport(False, "table dimensions do not match carrier")
     if s.class_tag == SEMILATTICE:
         for i, row in enumerate(s.table):
             for j, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < n:
                     return ValidationReport(
                         False, "meet table entry out of range",
-                        witness=(s.carrier[i], s.carrier[j]), structural=True)
+                        witness=(s.carrier[i], s.carrier[j]))
     if s.class_tag == METRIC:
         for i, row in enumerate(s.table):
             for j, v in enumerate(row):
                 if not isinstance(v, Fraction):
                     return ValidationReport(
                         False, "non-Fraction distance",
-                        witness=(s.carrier[i], s.carrier[j]), structural=True)
+                        witness=(s.carrier[i], s.carrier[j]))
     return _PASS
 
 
 def validate(s: FiniteStructure) -> ValidationReport:
     """Check every axiom of the structure's class; report the first violation."""
-    rep = _structural_check(s)
+    rep = _shape_check(s)
     if not rep.ok:
         return rep
     n, t, c = len(s.carrier), s.table, s.carrier
@@ -250,27 +248,28 @@ def _hom_violation(m: Morphism) -> tuple | None:
     s, t = m.source, m.target
     if s.class_tag != t.class_tag:
         return ("class mismatch",)
-    f = m.mapping
+    f = [t.index(y) for y in m.mapping]  # tables are read by position
     n = len(f)
+    st, tt = s.table, t.table
     if s.class_tag == GRAPH:
         for i in range(n):
             for j in range(i + 1, n):
-                if s.table[i][j] and not t.adjacent(f[i], f[j]):
+                if st[i][j] and not tt[f[i]][f[j]]:
                     return (s.carrier[i], s.carrier[j])
     elif s.class_tag == POSET:
         for i in range(n):
             for j in range(n):
-                if s.table[i][j] and not t.leq(f[i], f[j]):
+                if st[i][j] and not tt[f[i]][f[j]]:
                     return (s.carrier[i], s.carrier[j])
     elif s.class_tag == METRIC:
         for i in range(n):
             for j in range(i + 1, n):
-                if t.dist(f[i], f[j]) > s.table[i][j]:
+                if tt[f[i]][f[j]] > st[i][j]:
                     return (s.carrier[i], s.carrier[j])
     elif s.class_tag == SEMILATTICE:
         for i in range(n):
             for j in range(i, n):
-                if m(s.carrier[s.table[i][j]]) != t.meet(f[i], f[j]):
+                if f[st[i][j]] != tt[f[i]][f[j]]:
                     return (s.carrier[i], s.carrier[j])
     return None
 
@@ -281,20 +280,20 @@ def is_homomorphism(m: Morphism) -> bool:
 
 def _reflects(m: Morphism) -> bool:
     """Embedding condition beyond injectivity: image is an induced copy."""
-    s, t = m.source, m.target
-    f = m.mapping
+    s = m.source
+    if s.class_tag == SEMILATTICE:
+        # Injective homomorphisms are exactly the embeddings.
+        return True
+    t = m.target
+    f = [t.index(y) for y in m.mapping]
     n = len(f)
-    if s.class_tag == GRAPH:
-        return all(s.table[i][j] == t.adjacent(f[i], f[j])
-                   for i in range(n) for j in range(i + 1, n))
+    st, tt = s.table, t.table
     if s.class_tag == POSET:
-        return all(s.table[i][j] == t.leq(f[i], f[j])
+        return all(st[i][j] == tt[f[i]][f[j]]
                    for i in range(n) for j in range(n) if i != j)
-    if s.class_tag == METRIC:
-        return all(s.table[i][j] == t.dist(f[i], f[j])
-                   for i in range(n) for j in range(i + 1, n))
-    # Semilattice: injective homomorphisms are exactly the embeddings.
-    return True
+    # Graph adjacency and metric distance are symmetric.
+    return all(st[i][j] == tt[f[i]][f[j]]
+               for i in range(n) for j in range(i + 1, n))
 
 
 def classify(m: Morphism) -> str:

@@ -1,4 +1,4 @@
-"""Rooted multi-amalgams, free sums, and the subset representation."""
+"""Rooted multi-amalgams, free sums, and the free amalgam behind them."""
 
 import itertools
 from fractions import Fraction
@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, AmalgamPair,
-                           ExtensionCode, RootedMultiAmalgam, StructureError,
-                           all_structures, apply_code, enumerate_codes,
+                           ExtensionCode, RootedMultiAmalgam, Span,
+                           StructureError, all_structures, amalgamated_sum,
+                           apply_code, enumerate_codes,
                            enumerate_homs, forced_root_isomorphism, free_sum,
                            free_sum_isomorphism, induced_substructure,
                            is_embedding, morphism_from_dict,
-                           semilattice_iterated_sum,
-                           semilattice_subset_representation, validate)
+                           semilattice_iterated_sum, validate)
 from fraisse_forge.presets import (antichain, edgeless_graph,
                                    free_semilattice, semilattice_from_meets,
                                    simplex)
@@ -57,8 +57,7 @@ class TestConstruction:
     def test_one_pair_isomorphic_to_extension(self):
         root = semilattice_from_meets("a", {})
         code = ExtensionCode(SEMILATTICE, ("a",), ("a",))
-        fs = semilattice_subset_representation(
-            RootedMultiAmalgam(root, (AmalgamPair(("a",), code, "x"),)))
+        fs = free_sum(RootedMultiAmalgam(root, (AmalgamPair(("a",), code, "x"),)))
         assert set(fs.object.carrier) == {"a", "x"}
 
     def test_base_must_respect_carrier_order(self):
@@ -121,7 +120,7 @@ class TestCoherence:
         checked = 0
         for ma in all_small_amalgams(SEMILATTICE):
             it = semilattice_iterated_sum(ma)
-            di = semilattice_subset_representation(ma)
+            di = free_sum(ma)
             assert free_sum_isomorphism(it, di) is not None
             checked += 1
         assert checked > 0
@@ -172,3 +171,79 @@ class TestCoherence:
         codes = enumerate_codes(METRIC, root, grid=(Fraction(1), Fraction(2)))
         fs = free_sum(RootedMultiAmalgam(root, pairs_over_whole(root, codes)))
         assert validate(fs.object).ok
+
+
+def closure_of_union(obj, components):
+    """The table of `obj` recomputed from its components alone.
+
+    Each component is `(structure, ids)` with `ids[i]` the id of its element
+    i in `obj`.  The union of their relations is closed here: nothing for
+    graphs, Warshall transitive closure for posets, Floyd-Warshall min-plus
+    for metric spaces.
+    """
+    tag = obj.class_tag
+    pos = {x: i for i, x in enumerate(obj.carrier)}
+    m = len(obj.carrier)
+    if tag == METRIC:
+        t = [[Fraction(0) if i == j else None for j in range(m)] for i in range(m)]
+    else:
+        t = [[tag == POSET and i == j for j in range(m)] for i in range(m)]
+    for s, ids in components:
+        at = [pos[x] for x in ids]
+        for i, p in enumerate(at):
+            for j, q in enumerate(at):
+                v = s.table[i][j]
+                if tag == METRIC:
+                    t[p][q] = v if t[p][q] is None else min(t[p][q], v)
+                else:
+                    t[p][q] = t[p][q] or v
+    if tag != GRAPH:
+        for k in range(m):
+            for i in range(m):
+                for j in range(m):
+                    if tag == POSET:
+                        t[i][j] = t[i][j] or (t[i][k] and t[k][j])
+                    elif t[i][k] is not None and t[k][j] is not None:
+                        via = t[i][k] + t[k][j]
+                        if t[i][j] is None or via < t[i][j]:
+                            t[i][j] = via
+    return tuple(map(tuple, t))
+
+
+RELATIONAL = [(GRAPH, None), (POSET, None), (METRIC, (Fraction(1), Fraction(2)))]
+
+
+class TestClosureOfUnion:
+    @pytest.mark.parametrize("tag,grid", RELATIONAL)
+    def test_free_sum(self, tag, grid):
+        # arms over the whole root route cross distances through bases of two
+        whole = (RootedMultiAmalgam(root, pairs_over_whole(
+            root, enumerate_codes(tag, root, grid=grid)))
+            for root in all_structures(tag, 2, grid))
+        checked = 0
+        for ma in itertools.chain(all_small_amalgams(tag, grid), whole):
+            fs = free_sum(ma)
+            comps = [(ma.root, ma.root.carrier)] + [
+                (leg.source, leg.mapping) for leg in fs.leg_embeddings]
+            assert fs.object.table == closure_of_union(fs.object, comps)
+            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("tag,grid", RELATIONAL)
+    def test_amalgamated_sum_two_point_left_leg(self, tag, grid):
+        checked = 0
+        for b in all_structures(tag, 2, grid):
+            ident = {x: x for x in b.carrier}
+            codes = enumerate_codes(tag, b, grid=grid)
+            for c1 in codes:
+                e1 = apply_code(b, c1, "x")
+                for c11 in enumerate_codes(tag, e1, grid=grid):
+                    y = apply_code(e1, c11, "w")
+                    for c2 in codes:
+                        z = apply_code(b, c2, "x")
+                        sq = amalgamated_sum(Span(morphism_from_dict(b, y, ident),
+                                                  morphism_from_dict(b, z, ident)))
+                        comps = [(z, sq.right_leg.mapping), (y, sq.left_leg.mapping)]
+                        assert sq.object.table == closure_of_union(sq.object, comps)
+                        checked += 1
+        assert checked > 0

@@ -41,7 +41,14 @@ def parse_root(spec: str, class_tag: str | None) -> FiniteStructure:
         elif head == "simplex":
             if len(parts) != 3:
                 raise StructureError("simplex preset is simplex:n:d")
-            root = simplex(n, Fraction(parts[2]))
+            try:
+                d = Fraction(parts[2])
+            except (ValueError, ZeroDivisionError):
+                d = None
+            if d is None or d <= 0:
+                raise StructureError(f"simplex distance {parts[2]!r} is not a "
+                                     f"positive rational")
+            root = simplex(n, d)
         else:
             if n > 6:
                 raise StructureError("freesemilattice presets are capped at 6 "

@@ -14,10 +14,11 @@ from .pushout import Span, pushout_1phep
 from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
                          SEMILATTICE, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
-                         apply_code, enumerate_codes, enumerate_homs,
-                         enumerate_isomorphisms_over_base, extension_code,
-                         identity_morphism, induced_substructure,
-                         is_embedding, is_homomorphism, morphism_from_dict)
+                         _hom_violation, apply_code, enumerate_codes,
+                         enumerate_homs, enumerate_isomorphisms_over_base,
+                         extension_code, identity_morphism,
+                         induced_substructure, is_embedding, is_homomorphism,
+                         morphism_from_dict)
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,9 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
                 p, obj, {**{em(b): b for b in bj.carrier}, new: star.new_ids[j]})
             target = j
         if not is_embedding(iota):
-            raise InternalConsistencyError("component embedding into the star failed")
+            raise InternalConsistencyError(
+                f"component embedding into the star failed for catalog entry {i} "
+                f"(base {base_carrier}, new point {xi_id!r})")
         psi = iota.compose(sq.left_leg)
         components.append(LiftComponent(i, target, sq.left_leg, iota, psi))
         mapping[xi_id] = psi(xi_id)
@@ -129,7 +132,8 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
             mapping[e] = obj.carrier[acc]
     lifted = morphism_from_dict(obj, obj, mapping)
     if not is_homomorphism(lifted):
-        raise InternalConsistencyError("assembled lift is not a homomorphism")
+        raise InternalConsistencyError(
+            f"assembled lift is not a homomorphism at {_hom_violation(lifted)}")
     for a in root.carrier:
         if lifted(a) != phi(a):
             raise InternalConsistencyError("lift does not restrict to phi")

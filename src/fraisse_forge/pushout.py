@@ -12,9 +12,10 @@ from . import meetglue
 from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
                          SEMILATTICE, BoundExceeded, ExtensionCode,
                          FiniteStructure, InternalConsistencyError, Morphism,
-                         StructureError, _fresh_id, apply_code, enumerate_homs,
-                         identity_morphism, is_embedding, is_homomorphism,
-                         is_surjection, morphism_from_dict, validate)
+                         StructureError, _fresh_id, _morphism, apply_code,
+                         enumerate_homs, identity_morphism, is_embedding,
+                         is_homomorphism, is_surjection, morphism_from_dict,
+                         validate)
 
 _VALIDATE_RESULT_LIMIT = 64  # full axiom validation of constructed objects up to this size
 
@@ -49,7 +50,7 @@ class PushoutSquare:
     def __post_init__(self):
         lhs = self.left_leg.compose(self.span.left)
         rhs = self.right_leg.compose(self.span.right)
-        if lhs.mapping != rhs.mapping:
+        if lhs.positions != rhs.positions:
             raise InternalConsistencyError("pushout square does not commute")
 
 
@@ -84,67 +85,75 @@ def pushout_1phep(span: Span) -> PushoutSquare:
     """
     x = _check_1phep_span(span)
     b, c, bp = span.apex, span.left.target, span.right.target
-    f = {span.left(e): span.right(e) for e in b.carrier}  # image-of-B in C -> B'
+    # position in C of each base image -> its position in B'
+    f = dict(zip(span.left.positions, span.right.positions))
+    xi = c.index(x)
+    nb = len(bp.carrier)
+    ct, bt = c.table, bp.table
+    others = [w for w in range(len(c.carrier)) if w != xi]
+
+    def left_to(obj: FiniteStructure, p: int) -> Morphism:
+        """C -> obj: the base as into B', the new point to position p."""
+        return _morphism(c, obj, tuple([f.get(w, p) for w in range(len(c.carrier))]))
+
+    def adjoin(code: ExtensionCode, xp: str):
+        """B' with the point xp adjoined by `code`, and both legs into it."""
+        obj = apply_code(bp, code, xp)
+        return obj, left_to(obj, nb), _morphism(bp, obj, tuple(range(nb)))
+
     tag = b.class_tag
     if tag == GRAPH:
         xp = _fresh_id("x*", set(bp.carrier))
-        neighbors = sorted({f[w] for w in c.carrier
-                            if w != x and c.adjacent(x, w)},
-                           key=bp.index)
-        obj = apply_code(bp, ExtensionCode(GRAPH, bp.carrier, tuple(neighbors)), xp)
-        left_leg = morphism_from_dict(c, obj, {**{w: f[w] for w in f}, x: xp})
-        right_leg = morphism_from_dict(bp, obj, {e: e for e in bp.carrier})
-        witness = {"case": "adjoin", "new_point": xp, "neighbors": tuple(neighbors)}
+        neighbors = tuple(bp.carrier[p]
+                          for p in sorted({f[w] for w in others if ct[xi][w]}))
+        obj, left_leg, right_leg = adjoin(
+            ExtensionCode(GRAPH, bp.carrier, neighbors), xp)
+        witness = {"case": "adjoin", "new_point": xp, "neighbors": neighbors}
     elif tag == POSET:
-        lower = {f[w] for w in c.carrier if w != x and c.leq(w, x)}
-        upper = {f[w] for w in c.carrier if w != x and c.leq(x, w)}
+        lower = {f[w] for w in others if ct[w][xi]}
+        upper = {f[w] for w in others if ct[xi][w]}
         shared = lower & upper
         if shared:
             if len(shared) != 1:
                 raise InternalConsistencyError(
                     "collapse point between the down-set and up-set not unique")
             y0 = next(iter(shared))
-            obj = bp
-            left_leg = morphism_from_dict(c, obj, {**{w: f[w] for w in f}, x: y0})
-            right_leg = identity_morphism(bp)
-            witness = {"case": "collapse", "collapse_point": y0}
+            obj, left_leg, right_leg = bp, left_to(bp, y0), identity_morphism(bp)
+            witness = {"case": "collapse", "collapse_point": bp.carrier[y0]}
         else:
             xp = _fresh_id("x*", set(bp.carrier))
-            down = tuple(p for p in bp.carrier if any(bp.leq(p, w) for w in lower))
-            up = tuple(p for p in bp.carrier if any(bp.leq(w, p) for w in upper))
+            down = tuple(bp.carrier[p] for p in range(nb)
+                         if any(bt[p][w] for w in lower))
+            up = tuple(bp.carrier[p] for p in range(nb)
+                       if any(bt[w][p] for w in upper))
             if set(down) & set(up):
                 raise InternalConsistencyError("poset insertion broke antisymmetry")
-            obj = apply_code(bp, ExtensionCode(POSET, bp.carrier, (down, up)), xp)
-            left_leg = morphism_from_dict(c, obj, {**{w: f[w] for w in f}, x: xp})
-            right_leg = morphism_from_dict(bp, obj, {e: e for e in bp.carrier})
+            obj, left_leg, right_leg = adjoin(
+                ExtensionCode(POSET, bp.carrier, (down, up)), xp)
             witness = {"case": "insert", "new_point": xp}
     elif tag == METRIC:
         xp = _fresh_id("y*", set(bp.carrier))
-        base_elems = [w for w in c.carrier if w != x]
-        vec = tuple(min(c.dist(x, w) + bp.dist(f[w], p) for w in base_elems)
-                    for p in bp.carrier)
-        obj = apply_code(bp, ExtensionCode(METRIC, bp.carrier, vec), xp)
-        left_leg = morphism_from_dict(c, obj, {**{w: f[w] for w in f}, x: xp})
-        right_leg = morphism_from_dict(bp, obj, {e: e for e in bp.carrier})
+        vec = tuple(min(ct[xi][w] + bt[f[w]][p] for w in others) for p in range(nb))
+        obj, left_leg, right_leg = adjoin(
+            ExtensionCode(METRIC, bp.carrier, vec), xp)
         witness = {"case": "adjoin", "new_point": xp,
                    "distances": dict(zip(bp.carrier, vec))}
     else:
-        ker = [(u, v)
-               for u in c.carrier if u in f
-               for v in c.carrier if v in f
-               if f[u] == f[v] and u != v]
+        base = sorted(f)
+        ker = [(c.carrier[u], c.carrier[v])
+               for u in base for v in base if f[u] == f[v] and u != v]
         theta = congruence_generated(c, ker)
         obj, nu = quotient(c, theta)
-        right_map = {}
-        for e in b.carrier:
-            right_map[span.right(e)] = nu(span.left(e))
-        if len(set(right_map.values())) != len(right_map):
-            pairs = sorted(right_map.items())
+        right = dict(zip(span.right.positions,
+                         (nu.positions[u] for u in span.left.positions)))
+        hit = set(right.values())
+        if len(hit) != len(right):
+            pairs = sorted((bp.carrier[k], obj.carrier[v]) for k, v in right.items())
             raise InternalConsistencyError(
                 f"congruence fails to restrict to the kernel: {pairs}")
-        right_leg = morphism_from_dict(bp, obj, right_map)
+        right_leg = _morphism(bp, obj, tuple([right[k] for k in range(nb)]))
         left_leg = nu
-        obj_new = [e for e in obj.carrier if e not in set(right_map.values())]
+        obj_new = [e for k, e in enumerate(obj.carrier) if k not in hit]
         witness = {"case": "quotient", "congruence": theta.blocks,
                    "new_point": obj_new[0] if obj_new else None}
     _maybe_validate(obj, "1PHEP pushout")
@@ -292,12 +301,6 @@ class Congruence:
     structure: FiniteStructure
     blocks: tuple[tuple[str, ...], ...]
 
-    def block_of(self, x: str) -> tuple[str, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise StructureError(f"{x!r} not in any block")
-
 
 def congruence_generated(s: FiniteStructure, pairs) -> Congruence:
     """Least meet-compatible partition of `s` containing all given pairs.
@@ -376,7 +379,7 @@ def quotient(s: FiniteStructure, c: Congruence) -> tuple[FiniteStructure, Morphi
                             f"blockwise meet ill-defined at ({u}, {v})")
     obj = FiniteStructure(SEMILATTICE, tuple(reps), tuple(map(tuple, table)))
     _maybe_validate(obj, "quotient")
-    nu = morphism_from_dict(s, obj, {x: reps[block_ix[x]] for x in s.carrier})
+    nu = _morphism(s, obj, tuple([block_ix[x] for x in s.carrier]))
     return obj, nu
 
 
@@ -399,21 +402,17 @@ class OracleReport:
 def _forced_mediating(sq: PushoutSquare, j1: Morphism, j2: Morphism) -> Morphism | None:
     """The unique candidate u with u.left_leg = j1, u.right_leg = j2, if the
     legs cover the pushout carrier; None if some value stays unforced."""
-    target = j1.target
-    values: dict[str, str] = {}
-    for e in sq.left_leg.source.carrier:
-        p = sq.left_leg(e)
-        want = j1(e)
-        if values.setdefault(p, want) != want:
-            return None
-    for e in sq.right_leg.source.carrier:
-        p = sq.right_leg(e)
-        want = j2(e)
-        if values.setdefault(p, want) != want:
-            return None
-    if len(values) != len(sq.object.carrier):
+    values: list[int | None] = [None] * len(sq.object.carrier)
+    for leg, j in ((sq.left_leg, j1), (sq.right_leg, j2)):
+        for p, want in zip(leg.positions, j.positions):
+            have = values[p]
+            if have is None:
+                values[p] = want
+            elif have != want:
+                return None
+    if None in values:
         return None
-    return morphism_from_dict(sq.object, target, values)
+    return _morphism(sq.object, j1.target, tuple(values))
 
 
 @lru_cache(maxsize=65536)
@@ -433,7 +432,8 @@ def verify_universal_property(sq: PushoutSquare, test_objects,
     """
     c = sq.left_leg.source
     bp = sq.right_leg.source
-    apex = sq.span.apex
+    left_leg, right_leg = sq.left_leg.positions, sq.right_leg.positions
+    span_left, span_right = sq.span.left.positions, sq.span.right.positions
     cocones = 0
     failures = []
     skipped = []
@@ -448,23 +448,27 @@ def verify_universal_property(sq: PushoutSquare, test_objects,
             continue
         tested += 1
         # Index the candidate mediators by their leg restrictions and the
-        # cocone halves by their apex restriction: the cocone scan is then a
-        # pair of dictionary lookups instead of nested rescans.
+        # cocone halves by their apex restriction, all as position tuples in
+        # q: the cocone scan is then a pair of dictionary lookups instead of
+        # nested rescans.
         by_restriction: dict[tuple, list[Morphism]] = {}
         for u in homs_p:
-            key = (u.compose(sq.left_leg).mapping, u.compose(sq.right_leg).mapping)
+            up = u.positions
+            key = (tuple([up[i] for i in left_leg]),
+                   tuple([up[i] for i in right_leg]))
             by_restriction.setdefault(key, []).append(u)
         bp_by_apex: dict[tuple, list[Morphism]] = {}
         for j2 in homs_bp:
-            bp_by_apex.setdefault(j2.compose(sq.span.right).mapping, []).append(j2)
+            jp = j2.positions
+            bp_by_apex.setdefault(tuple([jp[i] for i in span_right]), []).append(j2)
         for j1 in homs_c:
-            left_comp = j1.compose(sq.span.left).mapping
-            for j2 in bp_by_apex.get(left_comp, ()):
+            jp = j1.positions
+            for j2 in bp_by_apex.get(tuple([jp[i] for i in span_left]), ()):
                 cocones += 1
-                mediating = by_restriction.get((j1.mapping, j2.mapping), [])
+                mediating = by_restriction.get((jp, j2.positions), [])
                 forced = _forced_mediating(sq, j1, j2)
                 if forced is not None and is_homomorphism(forced):
-                    if [forced.mapping] != [u.mapping for u in mediating]:
+                    if [forced.positions] != [u.positions for u in mediating]:
                         failures.append((q.carrier, j1.mapping, j2.mapping,
                                          "forced/enumerated mismatch"))
                         continue

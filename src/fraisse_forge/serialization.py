@@ -34,20 +34,28 @@ def to_document(s: FiniteStructure) -> dict:
 
 
 def from_document(doc: dict) -> FiniteStructure:
+    """Decode a structure document; any malformed document raises StructureError."""
     try:
         tag = doc["class"]
-        carrier = tuple(doc["carrier"])
+        carrier = doc["carrier"]
         rows = doc["table"]
     except (KeyError, TypeError) as e:
         raise StructureError(f"malformed structure document: {e}")
     if tag not in CLASS_TAGS:
         raise StructureError(f"unknown class {tag!r}")
-    if len(set(carrier)) != len(carrier) or not all(isinstance(x, str) for x in carrier):
+    if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier) \
+            or len(set(carrier)) != len(carrier):
         raise StructureError("carrier must be a list of distinct strings")
+    carrier = tuple(carrier)
     n = len(carrier)
+    width = 2 if tag in (GRAPH, POSET) else 3
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == width for row in rows):
+        raise StructureError(f"{tag} table must be a list of {width}-entry rows")
 
     def check_index(i):
-        if not isinstance(i, int) or not 0 <= i < n:
+        # bool is an int subclass, but `true` is not a canonical index
+        if type(i) is not int or not 0 <= i < n:
             raise StructureError(f"index {i!r} out of range")
         return i
 
@@ -67,7 +75,13 @@ def from_document(doc: dict) -> FiniteStructure:
         t = [[Fraction(0)] * n for _ in range(n)]
         for i, j, d in rows:
             check_index(i), check_index(j)
-            t[i][j] = t[j][i] = Fraction(d)
+            if not isinstance(d, str):
+                raise StructureError(f"distance {d!r} is not a \"p/q\" string")
+            try:
+                t[i][j] = t[j][i] = Fraction(d)
+            except (ValueError, ZeroDivisionError):
+                raise StructureError(
+                    f"distance {d!r} is not a rational number") from None
     else:
         t = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -91,7 +105,11 @@ def dumps(s: FiniteStructure) -> str:
 
 
 def loads(text: str) -> FiniteStructure:
-    return from_document(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise StructureError(f"not a JSON document: {e}") from None
+    return from_document(doc)
 
 
 def _order_matrix(s: FiniteStructure) -> list[list[bool]]:

@@ -202,53 +202,104 @@ def _require_valid(s: FiniteStructure, what: str = "structure") -> None:
 # Morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Morphism:
-    """A total map between carriers; `mapping[i]` is the image of `source.carrier[i]`."""
+    """A total map between carriers, stored as target positions.
 
-    source: FiniteStructure
-    target: FiniteStructure
-    mapping: tuple[str, ...]
+    `positions[i]` is the carrier position in `target` of the image of
+    `source.carrier[i]`; `mapping` derives the images as ids.  Morphisms are
+    immutable, and equal when source, target and map agree.
+    """
 
-    def __post_init__(self):
-        if len(self.mapping) != len(self.source.carrier):
+    __slots__ = ("source", "target", "positions")
+
+    def __init__(self, source: FiniteStructure, target: FiniteStructure,
+                 mapping: tuple[str, ...]):
+        if len(mapping) != len(source.carrier):
             raise StructureError("mapping is not total over the source carrier")
-        missing = [y for y in self.mapping if y not in self.target.carrier]
-        if missing:
-            raise StructureError(f"mapping hits non-carrier element {missing[0]!r}")
+        carrier = target.carrier
+        try:
+            positions = tuple([carrier.index(y) for y in mapping])
+        except ValueError:
+            missing = next(y for y in mapping if y not in carrier)
+            raise StructureError(
+                f"mapping hits non-carrier element {missing!r}") from None
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "positions", positions)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return _morphism, (self.source, self.target, self.positions)
+
+    def __eq__(self, other):
+        if other.__class__ is not Morphism:
+            return NotImplemented
+        return (self.positions == other.positions and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.positions))
+
+    def __repr__(self):
+        return (f"Morphism(source={self.source!r}, target={self.target!r}, "
+                f"mapping={self.mapping!r})")
+
+    @property
+    def mapping(self) -> tuple[str, ...]:
+        """The images as target ids, in source carrier order."""
+        carrier = self.target.carrier
+        return tuple([carrier[i] for i in self.positions])
 
     def __call__(self, x: str) -> str:
-        return self.mapping[self.source.index(x)]
+        return self.target.carrier[self.positions[self.source.index(x)]]
 
     def image(self) -> tuple[str, ...]:
-        seen = set(self.mapping)
-        return tuple(y for y in self.target.carrier if y in seen)
+        carrier = self.target.carrier
+        return tuple([carrier[i] for i in sorted(set(self.positions))])
 
     def compose(self, other: "Morphism") -> "Morphism":
         """self after other (right-to-left composition)."""
         if other.target is not self.source and other.target != self.source:
             raise StructureError("composition mismatch")
-        return Morphism(other.source, self.target,
-                        tuple(self(y) for y in other.mapping))
+        p = self.positions
+        return _morphism(other.source, self.target,
+                         tuple([p[i] for i in other.positions]))
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.source.carrier, self.mapping))
+
+_set = object.__setattr__
+
+
+def _morphism(source: FiniteStructure, target: FiniteStructure,
+              positions: tuple[int, ...]) -> Morphism:
+    """A morphism from target positions the caller already holds (unchecked)."""
+    m = object.__new__(Morphism)
+    _set(m, "source", source)
+    _set(m, "target", target)
+    _set(m, "positions", positions)
+    return m
 
 
 def identity_morphism(s: FiniteStructure) -> Morphism:
-    return Morphism(s, s, s.carrier)
+    return _morphism(s, s, tuple(range(len(s.carrier))))
 
 
 def morphism_from_dict(source: FiniteStructure, target: FiniteStructure,
                        d: dict[str, str]) -> Morphism:
-    return Morphism(source, target, tuple(d[x] for x in source.carrier))
+    try:
+        return Morphism(source, target, tuple([d[x] for x in source.carrier]))
+    except KeyError as e:
+        raise StructureError(f"map has no image for {e.args[0]!r}") from None
 
 
 def _hom_violation(m: Morphism) -> tuple | None:
     s, t = m.source, m.target
     if s.class_tag != t.class_tag:
         return ("class mismatch",)
-    f = [t.index(y) for y in m.mapping]  # tables are read by position
+    f = m.positions
     n = len(f)
     st, tt = s.table, t.table
     if s.class_tag == GRAPH:
@@ -284,10 +335,9 @@ def _reflects(m: Morphism) -> bool:
     if s.class_tag == SEMILATTICE:
         # Injective homomorphisms are exactly the embeddings.
         return True
-    t = m.target
-    f = [t.index(y) for y in m.mapping]
+    f = m.positions
     n = len(f)
-    st, tt = s.table, t.table
+    st, tt = s.table, m.target.table
     if s.class_tag == POSET:
         return all(st[i][j] == tt[f[i]][f[j]]
                    for i in range(n) for j in range(n) if i != j)
@@ -300,8 +350,9 @@ def classify(m: Morphism) -> str:
     """Classify a morphism as not-hom / hom / surjection / embedding / isomorphism."""
     if _hom_violation(m) is not None:
         return NOT_HOM
-    injective = len(set(m.mapping)) == len(m.mapping)
-    surjective = len(set(m.mapping)) == len(m.target.carrier)
+    hit = len(set(m.positions))
+    injective = hit == len(m.positions)
+    surjective = hit == len(m.target.carrier)
     embedding = injective and _reflects(m)
     if embedding and surjective:
         return ISOMORPHISM
@@ -429,7 +480,7 @@ def enumerate_homs(x: FiniteStructure, y: FiniteStructure,
 
     def rec(k: int) -> None:
         if k == n:
-            out.append(Morphism(x, y, tuple(y.carrier[i] for i in assign)))
+            out.append(_morphism(x, y, tuple(assign)))
             return
         for v in range(m):
             assign.append(v)

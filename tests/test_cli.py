@@ -57,6 +57,24 @@ class TestBuild:
                          "--out", str(tmp_path / "out"))
         assert code == 0
 
+    @pytest.mark.parametrize("text", [
+        '{"carrier":["a"],"class":"graph","table":[[0]]}',
+        '{"carrier":["a","b"],"class":"metric","table":[[0,1,"1/0"]]}',
+        "{",
+    ], ids=["short-row", "distance-1/0", "not-json"])
+    def test_malformed_root_file(self, tmp_path, capsys, text):
+        p = tmp_path / "root.json"
+        p.write_text(text)
+        code, _, err = run(capsys, "build", "--root", str(p),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("spec", ["simplex:2:x", "simplex:2:1/0", "simplex:2:0"])
+    def test_bad_simplex_distance(self, tmp_path, capsys, spec):
+        code, _, err = run(capsys, "build", "--root", spec, "--grid", "1,2",
+                           "--out", str(tmp_path))
+        assert code == 2 and "error:" in err
+
     def test_class_mismatch(self, tmp_path, capsys):
         code, _, err = run(capsys, "build", "--root", "edgeless:2",
                            "--class", "poset", "--out", str(tmp_path))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, CatalogParams,
-                           Span, StructureError, build_stages, build_star,
+                           InternalConsistencyError, Span, StructureError,
+                           build_stages, build_star, lifting,
                            cayley_demo, endomorphisms, enumerate_extensions,
                            identity_morphism, is_homomorphism, lift,
                            lift_along_stages, morphism_from_dict,
@@ -120,6 +121,40 @@ class TestLift:
             assert rep.passed and not rep.skipped
             checked += 1
         assert checked > 0
+
+
+class TestLiftWitnesses:
+    """Internal-consistency failures of `lift` name their witness."""
+
+    def test_non_hom_lift_names_the_pair(self, monkeypatch):
+        root = edgeless_graph(2)
+        star, cat = star_of(root, CatalogParams(1))
+        obj = star.object
+        # a fresh point adjacent to v0 alone; sending it to v1 breaks that edge
+        n = next(x for x in star.new_ids if obj.adjacent("v0", x))
+        real = lifting.morphism_from_dict
+
+        def corrupt(source, target, d):
+            if source is obj and target is obj:
+                d = {**d, n: "v1"}
+            return real(source, target, d)
+
+        monkeypatch.setattr(lifting, "morphism_from_dict", corrupt)
+        with pytest.raises(InternalConsistencyError) as e:
+            lift(identity_morphism(root), star, cat)
+        assert f"('v0', '{n}')" in str(e.value)
+
+    def test_failed_component_embedding_names_the_entry(self, monkeypatch):
+        root = edgeless_graph(2)
+        star, cat = star_of(root, CatalogParams(1))
+        monkeypatch.setattr(lifting, "is_embedding", lambda m: False)
+        with pytest.raises(InternalConsistencyError) as e:
+            lift(identity_morphism(root), star, cat)
+        i = next(k for k, (base, _) in enumerate(cat.entries) if base)
+        msg = str(e.value)
+        assert f"catalog entry {i} " in msg
+        assert all(repr(b) in msg for b in cat.entries[i][0])
+        assert repr(star.new_ids[i]) in msg
 
 
 class TestFunctoriality:

@@ -80,6 +80,24 @@ class TestBadDocuments:
             from_document({"class": "poset", "carrier": ["a", "b"],
                            "table": [[0, 1], [1, 0]]})
 
+    @pytest.mark.parametrize("doc", [
+        {"class": "graph", "carrier": ["a"], "table": [[0]]},
+        {"class": "poset", "carrier": ["a", "b"], "table": "01"},
+        {"class": "metric", "carrier": ["a", "b"], "table": [[0, 1, "x"]]},
+        {"class": "metric", "carrier": ["a", "b"], "table": [[0, 1, "1/0"]]},
+        {"class": "metric", "carrier": ["a", "b"], "table": [[0, 1, 1]]},
+        {"class": "semilattice", "carrier": ["a", "b"], "table": [[0, 1, True]]},
+        {"class": "graph", "carrier": "ab", "table": []},
+    ], ids=["short-row", "string-table", "distance-x", "distance-1/0",
+            "distance-not-string", "bool-index", "string-carrier"])
+    def test_strict_decoding(self, doc):
+        with pytest.raises(StructureError):
+            from_document(doc)
+
+    def test_not_json(self):
+        with pytest.raises(StructureError):
+            loads("{")
+
     def test_metric_triangle_violation(self):
         with pytest.raises(StructureError):
             from_document({"class": "metric", "carrier": ["a", "b", "c"],

@@ -158,6 +158,85 @@ class TestMorphisms:
         assert classify(identity_morphism(s)) == ISOMORPHISM
 
 
+def reference_kind(x, y, ids):
+    """Morphism kind read off the id accessors, independent of positions."""
+    f = dict(zip(x.carrier, ids))
+    pairs = list(itertools.product(x.carrier, repeat=2))
+    if x.class_tag == GRAPH:
+        rel_x, rel_y = x.adjacent, y.adjacent
+    elif x.class_tag == METRIC:
+        rel_x, rel_y = x.dist, y.dist
+    else:
+        rel_x, rel_y = x.leq, y.leq
+    if x.class_tag == GRAPH or x.class_tag == POSET:
+        hom = all(not rel_x(u, v) or rel_y(f[u], f[v]) for u, v in pairs)
+    elif x.class_tag == METRIC:
+        hom = all(y.dist(f[u], f[v]) <= x.dist(u, v) for u, v in pairs)
+    else:
+        hom = all(f[x.meet(u, v)] == y.meet(f[u], f[v]) for u, v in pairs)
+    if not hom:
+        return NOT_HOM
+    embedding = len(set(ids)) == len(ids) and all(
+        rel_x(u, v) == rel_y(f[u], f[v]) for u, v in pairs)
+    surjective = set(ids) == set(y.carrier)
+    if embedding:
+        return ISOMORPHISM if surjective else EMBEDDING
+    return SURJECTION if surjective else HOM
+
+
+class TestPositionRepresentation:
+    """Morphisms store target positions; every id-level reading must agree
+    with plain id maps on all maps between structures of up to 2 points."""
+
+    @staticmethod
+    def maps(objs):
+        return [(x, y, ids) for x in objs for y in objs
+                for ids in itertools.product(y.carrier, repeat=len(x.carrier))]
+
+    @pytest.mark.parametrize("tag", [GRAPH, POSET, METRIC, SEMILATTICE])
+    def test_against_id_maps(self, tag):
+        grid = (Fraction(1), Fraction(2)) if tag == METRIC else None
+        objs = all_structures(tag, 2, grid)
+        maps = self.maps(objs)
+        ms = [Morphism(x, y, ids) for x, y, ids in maps]
+        for m, (x, y, ids) in zip(ms, maps):
+            assert m.mapping == ids
+            assert [m(a) for a in x.carrier] == list(ids)
+            assert m.image() == tuple(b for b in y.carrier if b in ids)
+            assert classify(m) == reference_kind(x, y, ids)
+            with pytest.raises(StructureError):
+                Morphism(x, y, ids[:-1])
+            with pytest.raises(StructureError):
+                Morphism(x, y, ids[:-1] + ("foreign",))
+            with pytest.raises(StructureError):
+                morphism_from_dict(x, y, dict(zip(x.carrier[:-1], ids)))
+            with pytest.raises(AttributeError):
+                m.positions = ()
+        for m1, (x, y, ids1) in zip(ms, maps):
+            d1 = dict(zip(x.carrier, ids1))
+            for m2, (y2, z, ids2) in zip(ms, maps):
+                if y2 is not y:
+                    if y2 != y:
+                        with pytest.raises(StructureError):
+                            m2.compose(m1)
+                    continue
+                d2 = dict(zip(y.carrier, ids2))
+                want = tuple(d2[d1[a]] for a in x.carrier)
+                got = m2.compose(m1)
+                assert got.mapping == want
+                assert got == Morphism(x, z, want)
+        # equality and hashing across equal but distinct structure objects
+        copies = [Morphism(x, y, ids) for x, y, ids in
+                  self.maps(all_structures(tag, 2, grid))]
+        for a in ms:
+            key = (a.source, a.target, a.mapping)
+            for b in copies:
+                same = key == (b.source, b.target, b.mapping)
+                assert (a == b) is same and (a != b) is not same
+                if same:
+                    assert hash(a) == hash(b)
+
+
 class TestSubstructures:
     def test_induced_preserves_order(self):
         p = chain(3)

@@ -17,8 +17,6 @@ from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
                          is_homomorphism, is_surjection, morphism_from_dict,
                          validate)
 
-_VALIDATE_RESULT_LIMIT = 64  # full axiom validation of constructed objects up to this size
-
 
 @dataclass(frozen=True)
 class Span:
@@ -69,12 +67,11 @@ def _check_1phep_span(span: Span) -> str:
     return _one_point_over(span.left.target, span.left.image())
 
 
-def _maybe_validate(s: FiniteStructure, what: str) -> None:
-    if len(s.carrier) <= _VALIDATE_RESULT_LIMIT:
-        rep = validate(s)
-        if not rep.ok:
-            raise InternalConsistencyError(
-                f"constructed {what} fails validation: {rep.error} at {rep.witness}")
+def _validate_constructed(s: FiniteStructure, what: str) -> None:
+    rep = validate(s)
+    if not rep.ok:
+        raise InternalConsistencyError(
+            f"constructed {what} fails validation: {rep.error} at {rep.witness}")
 
 
 def pushout_1phep(span: Span) -> PushoutSquare:
@@ -156,7 +153,7 @@ def pushout_1phep(span: Span) -> PushoutSquare:
         obj_new = [e for k, e in enumerate(obj.carrier) if k not in hit]
         witness = {"case": "quotient", "congruence": theta.blocks,
                    "new_point": obj_new[0] if obj_new else None}
-    _maybe_validate(obj, "1PHEP pushout")
+    _validate_constructed(obj, "1PHEP pushout")
     if not is_surjection(left_leg) or not is_homomorphism(left_leg):
         raise InternalConsistencyError("1PHEP left leg is not a surjective hom")
     if not is_embedding(right_leg):
@@ -285,7 +282,7 @@ def amalgamated_sum(span: Span, max_elements: int | None = None) -> PushoutSquar
                               max_elements=max_elements)
     left_leg = morphism_from_dict(y, obj, rename)
     right_leg = morphism_from_dict(z, obj, {e: e for e in z.carrier})
-    _maybe_validate(obj, "amalgamated sum")
+    _validate_constructed(obj, "amalgamated sum")
     if not is_embedding(left_leg) or not is_embedding(right_leg):
         raise InternalConsistencyError("amalgamated sum leg is not an embedding")
     return PushoutSquare(span, obj, left_leg, right_leg,
@@ -378,7 +375,7 @@ def quotient(s: FiniteStructure, c: Congruence) -> tuple[FiniteStructure, Morphi
                         raise InternalConsistencyError(
                             f"blockwise meet ill-defined at ({u}, {v})")
     obj = FiniteStructure(SEMILATTICE, tuple(reps), tuple(map(tuple, table)))
-    _maybe_validate(obj, "quotient")
+    _validate_constructed(obj, "quotient")
     nu = _morphism(s, obj, tuple([block_ix[x] for x in s.carrier]))
     return obj, nu
 

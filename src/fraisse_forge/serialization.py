@@ -5,8 +5,9 @@ with a class-specific table: adjacency pairs [i, j] for graphs, strict
 less-or-equal pairs [i, j] for posets (reflexivity implied), distance triples
 [i, j, "p/q"] for metric spaces, and meet triples [i, j, k] for semilattices
 (diagonal implied).  Serialization is canonical: indices i < j, rows sorted,
-sorted keys, compact separators, one trailing newline; parse followed by
-serialize is byte-identical.
+sorted keys, compact separators, one trailing newline.  Decoding accepts
+only canonical tables (rows sorted and each listed once, distances in lowest
+terms), so parse followed by serialize is byte-identical.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ def from_document(doc: dict) -> FiniteStructure:
         rows = doc["table"]
     except (KeyError, TypeError) as e:
         raise StructureError(f"malformed structure document: {e}")
+    if set(doc) != {"class", "carrier", "table"}:
+        raise StructureError("structure document has keys beyond class, carrier, table")
     if tag not in CLASS_TAGS:
         raise StructureError(f"unknown class {tag!r}")
     if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier) \
@@ -82,6 +85,8 @@ def from_document(doc: dict) -> FiniteStructure:
             except (ValueError, ZeroDivisionError):
                 raise StructureError(
                     f"distance {d!r} is not a rational number") from None
+            if str(t[i][j]) != d:
+                raise StructureError(f"distance {d!r} is not written {str(t[i][j])!r}")
     else:
         t = [[None] * n for _ in range(n)]
         for i in range(n):
@@ -93,6 +98,11 @@ def from_document(doc: dict) -> FiniteStructure:
             for j in range(n):
                 if t[i][j] is None:
                     raise StructureError(f"missing meet entry for ({i}, {j})")
+    # Only the canonical table decodes, so that dumps(loads(text)) == text.
+    pairs = [(row[0], row[1]) for row in rows]
+    if any(p >= q for p, q in zip(pairs, pairs[1:])) or any(
+            i == j or (tag != POSET and i > j) for i, j in pairs):
+        raise StructureError(f"{tag} table rows are not in canonical order")
     s = FiniteStructure(tag, carrier, tuple(map(tuple, t)))
     rep = validate(s)
     if not rep.ok:

@@ -7,8 +7,10 @@ are `fractions.Fraction` throughout -- no floats anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,8 +129,28 @@ def _shape_check(s: FiniteStructure) -> ValidationReport:
     return _PASS
 
 
+@functools.lru_cache(maxsize=64)
+def _bits(n: int) -> tuple[int, ...]:
+    return tuple([1 << k for k in range(n)])
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _scaled(t) -> list[list[int]]:
+    """The distances times the common denominator: exact integers."""
+    scale = math.lcm(*[v.denominator for row in t for v in row])
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in t]
+
+
 def validate(s: FiniteStructure) -> ValidationReport:
-    """Check every axiom of the structure's class; report the first violation."""
+    """Check every axiom of the structure's class; report the first violation.
+
+    Posets and semilattices take near-quadratic time through bitmasks of up-
+    and down-sets; the metric triangle check scans each pair of points once,
+    on distances scaled to exact integers.
+    """
     rep = _shape_check(s)
     if not rep.ok:
         return rep
@@ -150,32 +172,45 @@ def validate(s: FiniteStructure) -> ValidationReport:
                 if i != j and t[i][j] and t[j][i]:
                     return ValidationReport(False, "order not antisymmetric",
                                             witness=(c[i], c[j]))
-        for i in range(n):
-            for j in range(n):
-                if not t[i][j]:
-                    continue
-                for k in range(n):
-                    if t[j][k] and not t[i][k]:
-                        return ValidationReport(False, "order not transitive",
-                                                witness=(c[i], c[j], c[k]))
+        # up[i] holds bit k exactly when i <= k.  The order is transitive iff
+        # each up-set is the union of the up-sets of its members.
+        up = list(map(sum, map(itertools.compress, itertools.repeat(_bits(n)), t)))
+        closed = list(map(functools.reduce, itertools.repeat(operator.or_),
+                          map(itertools.compress, itertools.repeat(up), t)))
+        if closed != up:
+            for i in range(n):
+                outside = ~up[i]
+                if closed[i] & outside:
+                    for j in itertools.compress(range(n), t[i]):
+                        if up[j] & outside:
+                            k = _lowest_bit(up[j] & outside)
+                            return ValidationReport(False, "order not transitive",
+                                                    witness=(c[i], c[j], c[k]))
     elif s.class_tag == METRIC:
+        d = _scaled(t)
         for i in range(n):
-            if t[i][i] != 0:
+            if d[i][i] != 0:
                 return ValidationReport(False, "nonzero self-distance", witness=(c[i],))
             for j in range(n):
-                if i != j and t[i][j] <= 0:
+                if i != j and d[i][j] <= 0:
                     return ValidationReport(False, "non-positive distance",
                                             witness=(c[i], c[j]))
-                if t[i][j] != t[j][i]:
+                if d[i][j] != d[j][i]:
                     return ValidationReport(False, "distance not symmetric",
                                             witness=(c[i], c[j]))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[i][k] > t[i][j] + t[j][k]:
-                        return ValidationReport(False, "triangle inequality violated",
-                                                witness=(c[i], c[j], c[k]))
+        for i, di in enumerate(d):
+            for j, dj in enumerate(d):
+                # some k has d(i, k) > d(i, j) + d(j, k)
+                if max(map(operator.sub, di, dj)) > di[j]:
+                    for k in range(n):
+                        if di[k] > di[j] + dj[k]:
+                            return ValidationReport(
+                                False, "triangle inequality violated",
+                                witness=(c[i], c[j], c[k]))
     elif s.class_tag == SEMILATTICE:
+        # Let z <= x mean z^x == z, and down[x] hold bit z exactly when z <= x
+        # (read off row x, by commutativity).
+        bits, positions, down = _bits(n), range(n), []
         for i in range(n):
             if t[i][i] != i:
                 return ValidationReport(False, "meet not idempotent", witness=(c[i],))
@@ -183,12 +218,30 @@ def validate(s: FiniteStructure) -> ValidationReport:
                 if t[i][j] != t[j][i]:
                     return ValidationReport(False, "meet not commutative",
                                             witness=(c[i], c[j]))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if t[t[i][j]][k] != t[i][t[j][k]]:
-                        return ValidationReport(False, "meet not associative",
-                                                witness=(c[i], c[j], c[k]))
+            down.append(sum(itertools.compress(bits, map(operator.eq, t[i], positions))))
+        # The idempotent, commutative table is associative iff
+        # down(x^y) == down(x) & down(y) for all x, y.  If so, <= is reflexive
+        # (idempotence), antisymmetric (z = z^x = x^z = x) and transitive
+        # (x <= y gives down(x) = down(x^y), within down(y)), and x^y lies in
+        # down(x^y) = down(x) & down(y), which holds every common lower bound
+        # of x and y: x^y is their greatest lower bound.  A meet satisfies the
+        # condition by definition.
+        for x in range(n):
+            row, dx = t[x], down[x]
+            for y in range(x + 1, n):
+                m, both = row[y], dx & down[y]
+                if down[m] == both:
+                    continue
+                z = _lowest_bit(down[m] ^ both)
+                if both & bits[z]:
+                    # z is below x and y but not below x^y
+                    witness = (z, x, y)
+                else:
+                    # z is below x^y but not below a
+                    a, o = (x, y) if not dx & bits[z] else (y, x)
+                    witness = (a, a, o) if t[m][a] != m else (z, m, a)
+                return ValidationReport(False, "meet not associative",
+                                        witness=tuple(map(c.__getitem__, witness)))
     return _PASS
 
 

@@ -8,12 +8,14 @@ import pytest
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE,
                            ExtensionCode, FiniteStructure,
                            InternalConsistencyError, Span, StructureError,
-                           all_structures, amalgamated_sum, apply_code,
-                           classify, congruence_generated, enumerate_codes,
-                           enumerate_homs, identity_morphism, is_embedding,
+                           ValidationReport, all_structures, amalgamated_sum,
+                           apply_code, classify, congruence_generated,
+                           enumerate_codes, enumerate_homs,
+                           identity_morphism, is_embedding,
                            is_meet_compatible, is_surjection,
                            morphism_from_dict, pushout_1phep, quotient,
                            validate, verify_universal_property)
+from fraisse_forge import pushout
 from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    free_semilattice, graph_from_edges,
                                    metric_from_distances, poset_from_pairs,
@@ -269,6 +271,26 @@ class TestAmalgamatedSum:
             morphism_from_dict(b, z, {"v0": "v0"})))
         rep = verify_universal_property(sq, all_structures(POSET, 3))
         assert rep.passed and rep.cocones_checked > 0
+
+    def test_large_result_validated(self, monkeypatch):
+        # two copies of the 15-element free semilattice glued at their bottoms
+        f = free_semilattice(4)
+        b = FiniteStructure(SEMILATTICE, ("p",), ((0,),))
+        leg = morphism_from_dict(b, f, {"p": f.carrier[-1]})
+        seen = []
+
+        def spy(s):
+            seen.append(s)
+            return validate(s)
+
+        monkeypatch.setattr(pushout, "validate", spy)
+        sq = amalgamated_sum(Span(leg, leg))
+        assert len(sq.object.carrier) > 64
+        assert any(s is sq.object for s in seen)
+        monkeypatch.setattr(pushout, "validate", lambda s: ValidationReport(
+            len(s.carrier) <= 64, "probe", (s.carrier[0],)))
+        with pytest.raises(InternalConsistencyError, match="probe"):
+            amalgamated_sum(Span(leg, leg))
 
 
 class TestAllStructures:

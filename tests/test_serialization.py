@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraisse_forge import StructureError
+from fraisse_forge import StructureError, validate
 from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    free_semilattice, graph_from_edges,
                                    semilattice_from_meets, simplex)
@@ -102,6 +104,71 @@ class TestBadDocuments:
         with pytest.raises(StructureError):
             from_document({"class": "metric", "carrier": ["a", "b", "c"],
                            "table": [[0, 1, "1"], [0, 2, "1"], [1, 2, "5"]]})
+
+
+FUZZ_SAMPLES = SAMPLES + [simplex(2), simplex(4, Fraction(2, 3))]
+DISTANCES = ("0", "1", "2", "3", "1/2", "2/4", "5/2", "-1", "0.5", "1e0", " 1")
+
+
+@st.composite
+def mutated_documents(draw):
+    """The canonical text of a sample's document after a few row edits."""
+    s = draw(st.sampled_from(FUZZ_SAMPLES))
+    rows = [list(row) for row in to_document(s)["table"]]
+    n = len(s.carrier)
+    index = st.integers(0, n)  # n itself is out of range
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(
+            ("flip", "swap", "drop", "duplicate", "entry", "distance")))
+        if edit == "flip" and s.class_tag in ("graph", "poset"):
+            # toggle a pair: remove its row, or add one in sorted place
+            pair = [draw(index), draw(index)]
+            if pair in rows:
+                rows.remove(pair)
+            else:
+                rows = sorted(rows + [pair])
+        elif rows:
+            k = draw(st.integers(0, len(rows) - 1))
+            if edit in ("flip", "swap"):
+                rows[k][0], rows[k][1] = rows[k][1], rows[k][0]
+            elif edit == "drop":
+                del rows[k]
+            elif edit == "duplicate":
+                rows.insert(k, list(rows[k]))
+            elif edit == "entry" or s.class_tag != "metric":
+                rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(index)
+            else:
+                rows[k][2] = draw(st.sampled_from(DISTANCES))
+    doc = {"class": s.class_tag, "carrier": list(s.carrier), "table": rows}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestFuzzDecoding:
+    @settings(max_examples=400, deadline=None)
+    @given(mutated_documents())
+    def test_decodes_canonically_or_refuses(self, text):
+        try:
+            s = loads(text)
+        except StructureError:
+            return
+        assert validate(s).ok and dumps(s) == text
+
+    @pytest.mark.parametrize("doc", [
+        {"class": "graph", "carrier": ["a", "b"], "table": [[1, 0]]},
+        {"class": "graph", "carrier": ["a", "b"], "table": [[0, 1], [0, 1]]},
+        {"class": "poset", "carrier": ["a", "b"], "table": [[0, 0]]},
+        {"class": "poset", "carrier": ["a", "b", "c"],
+         "table": [[1, 2], [0, 1], [0, 2]]},
+        {"class": "metric", "carrier": ["a", "b"], "table": [[0, 1, "2/4"]]},
+        {"class": "metric", "carrier": ["a", "b"], "table": [[0, 1, "0.5"]]},
+        {"class": "semilattice", "carrier": ["a", "b"],
+         "table": [[0, 1, 0], [1, 0, 0]]},
+        {"class": "graph", "carrier": ["a"], "table": [], "name": "g"},
+    ], ids=["reversed-pair", "repeated-row", "diagonal-row", "unsorted-rows",
+            "distance-2/4", "distance-0.5", "both-orders", "extra-key"])
+    def test_non_canonical_refused(self, doc):
+        with pytest.raises(StructureError):
+            from_document(doc)
 
 
 class TestDot:

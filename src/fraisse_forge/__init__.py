@@ -23,11 +23,9 @@ from .presets import (antichain, chain, edgeless_graph, free_semilattice,
                       semilattice_from_meets, simplex)
 from .pushout import (Congruence, OracleReport, PushoutSquare, Span,
                       all_structures, amalgamated_sum, congruence_generated,
-                      free_amalgam, is_meet_compatible, pushout_1phep,
-                      quotient, verify_universal_property)
-from .amalgam import (AmalgamPair, FreeSum, RootedMultiAmalgam,
-                      forced_root_isomorphism, free_sum, free_sum_isomorphism,
-                      semilattice_iterated_sum)
+                      free_amalgam, pushout_1phep, quotient,
+                      verify_universal_property)
+from .amalgam import AmalgamPair, FreeSum, RootedMultiAmalgam, free_sum
 from .limits import (Catalog, CatalogParams, StageChain, StageCeilingExceeded,
                      build_stages, build_star, check_graph_extension_property,
                      check_weak_homogeneity, enumerate_extensions,

@@ -41,13 +41,10 @@ def parse_root(spec: str, class_tag: str | None) -> FiniteStructure:
         elif head == "simplex":
             if len(parts) != 3:
                 raise StructureError("simplex preset is simplex:n:d")
-            try:
-                d = Fraction(parts[2])
-            except (ValueError, ZeroDivisionError):
-                d = None
-            if d is None or d <= 0:
-                raise StructureError(f"simplex distance {parts[2]!r} is not a "
-                                     f"positive rational")
+            d = _rational(parts[2], "simplex distance")
+            if d <= 0:
+                raise StructureError(f"simplex distance {parts[2]!r} is not "
+                                     f"positive")
             root = simplex(n, d)
         else:
             if n > 6:
@@ -61,16 +58,30 @@ def parse_root(spec: str, class_tag: str | None) -> FiniteStructure:
     path = Path(spec)
     if not path.exists():
         raise StructureError(f"{spec!r} is neither a preset nor an existing file")
-    root = serialization.loads(path.read_text())
+    root = serialization.loads(_read(path))
     if class_tag and root.class_tag != class_tag:
         raise StructureError(f"{spec} holds a {root.class_tag}, not a {class_tag}")
     return root
 
 
+def _rational(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise StructureError(f"{what} {text!r} is not a rational") from None
+
+
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise StructureError(f"cannot read {str(path)!r} as UTF-8 text: {e}") from None
+
+
 def parse_grid(text: str | None) -> tuple[Fraction, ...]:
     if not text:
         return ()
-    return tuple(Fraction(part) for part in text.split(","))
+    return tuple(_rational(part, "grid distance") for part in text.split(","))
 
 
 def run_manifest(command: str, parameters: dict, inputs: dict[str, str]) -> dict:
@@ -119,7 +130,7 @@ def cmd_verify(args) -> int:
             stage_files = sorted(Path(args.dir).glob("stage*.json"))
             if not stage_files:
                 raise StructureError(f"no stage files under {args.dir!r}")
-            structures = [serialization.loads(p.read_text()) for p in stage_files]
+            structures = [serialization.loads(_read(p)) for p in stage_files]
         elif args.root:
             structures = [parse_root(args.root, args.class_tag)]
         else:

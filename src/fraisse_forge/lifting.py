@@ -11,14 +11,13 @@ from .limits import Catalog, CatalogParams, StageChain, build_star
 from .presets import antichain, edgeless_graph, free_semilattice, \
     free_semilattice_generators, simplex
 from .pushout import Span, pushout_1phep
-from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
-                         SEMILATTICE, FiniteStructure,
+from .structures import (GRAPH, METRIC, POSET, SEMILATTICE, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
-                         _hom_violation, apply_code, enumerate_codes,
-                         enumerate_homs, enumerate_isomorphisms_over_base,
-                         extension_code, identity_morphism,
-                         induced_substructure, is_embedding, is_homomorphism,
-                         morphism_from_dict)
+                         _hom_violation, _morphism, apply_code,
+                         enumerate_codes, enumerate_homs,
+                         enumerate_isomorphisms_over_base, extension_code,
+                         identity_morphism, induced_substructure,
+                         is_embedding, is_homomorphism)
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,6 @@ class LiftedEndomorphism:
     components: tuple[LiftComponent, ...]
 
 
-def _image_base(root: FiniteStructure, phi: Morphism,
-                base: tuple[str, ...]) -> tuple[str, ...]:
-    img = {phi(b) for b in base}
-    return tuple(x for x in root.carrier if x in img)
-
-
 def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
     """Lift an endomorphism of the root to an endomorphism of the star.
 
@@ -69,36 +62,44 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
         raise StructureError("star was not built from this catalog")
     lookup = {(base, code): k for k, (base, code) in enumerate(catalog.entries)}
     obj = star.object
+    at_root = star.root_embedding.positions
+    fresh = [leg.positions[-1] for leg in star.leg_embeddings]
+    root_ix = {x: k for k, x in enumerate(root.carrier)}
+    f_root = phi.positions
     components: list[LiftComponent] = []
-    mapping = {a: phi(a) for a in root.carrier}
+    lifted: list[int | None] = [None] * len(obj.carrier)
+    for r, a in zip(f_root, at_root):
+        lifted[a] = at_root[r]
     for i, (base_carrier, code) in enumerate(catalog.entries):
-        xi_id = star.new_ids[i]
         ci = star.leg_embeddings[i].source
         if not base_carrier:
             # A point free over the empty base transports to itself.
             j = lookup[((), code)]
-            psi = morphism_from_dict(ci, obj, {xi_id: star.new_ids[j]})
+            psi = _morphism(ci, obj, (fresh[j],))
             components.append(LiftComponent(i, j, identity_morphism(ci), psi, psi))
-            mapping[xi_id] = star.new_ids[j]
+            lifted[fresh[i]] = fresh[j]
             continue
+        base = [root_ix[b] for b in base_carrier]
+        image = sorted({f_root[r] for r in base})
+        img = tuple([root.carrier[r] for r in image])
         bi = induced_substructure(root, base_carrier)
-        img = _image_base(root, phi, base_carrier)
         bj = induced_substructure(root, img)
-        f = morphism_from_dict(bi, bj, {b: phi(b) for b in base_carrier})
-        incl = morphism_from_dict(bi, ci, {b: b for b in base_carrier})
+        in_img = {r: k for k, r in enumerate(image)}
+        f = _morphism(bi, bj, tuple([in_img[f_root[r]] for r in base]))
+        incl = _morphism(bi, ci, tuple(range(len(base))))  # C_i is B_i plus its fresh point
         sq = pushout_1phep(Span(incl, f))
         p = sq.object
-        em = sq.right_leg  # bj -> p, an embedding
-        extra = [x for x in p.carrier if x not in set(em.mapping)]
-        if not extra:
+        em = sq.right_leg.positions  # bj -> p, an embedding
+        into_star, names = [None] * len(p.carrier), list(p.carrier)
+        for k, e in enumerate(em):
+            into_star[e], names[e] = at_root[image[k]], img[k]
+        if len(em) == len(p.carrier):
             # Collapse: the new point lands inside the image base.
-            inv = {em(b): b for b in bj.carrier}
-            iota = morphism_from_dict(p, obj, inv)
             target = None
         else:
-            new = extra[0]
-            q = _relabel(p, {**{em(b): b for b in bj.carrier}, new: new})
-            j = lookup.get((img, extension_code(q, img, new)))
+            new = into_star.index(None)
+            q = FiniteStructure(p.class_tag, tuple(names), p.table)
+            j = lookup.get((img, extension_code(q, img, names[new])))
             if j is None:
                 raise StructureError(
                     f"catalog has no entry for the transported extension type "
@@ -109,39 +110,34 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
                 raise InternalConsistencyError(
                     f"{len(isos)} base-fixing isomorphisms onto the catalog "
                     f"representative; expected exactly one")
-            iota = morphism_from_dict(
-                p, obj, {**{em(b): b for b in bj.carrier}, new: star.new_ids[j]})
+            into_star[new] = fresh[j]
             target = j
+        iota = _morphism(p, obj, tuple(into_star))
         if not is_embedding(iota):
             raise InternalConsistencyError(
                 f"component embedding into the star failed for catalog entry {i} "
-                f"(base {base_carrier}, new point {xi_id!r})")
+                f"(base {base_carrier}, new point {star.new_ids[i]!r})")
         psi = iota.compose(sq.left_leg)
         components.append(LiftComponent(i, target, sq.left_leg, iota, psi))
-        mapping[xi_id] = psi(xi_id)
+        lifted[fresh[i]] = psi.positions[-1]
     if star.ground_parts is not None:
         table = obj.table
         pos = {x: k for k, x in enumerate(obj.carrier)}
-        for e in obj.carrier:
-            if e in mapping:
+        for e, x in enumerate(obj.carrier):
+            if lifted[e] is not None:
                 continue
-            parts = star.ground_parts[e]
-            acc = pos[mapping[parts[0]]]
+            parts = star.ground_parts[x]
+            acc = lifted[pos[parts[0]]]
             for g in parts[1:]:
-                acc = table[acc][pos[mapping[g]]]
-            mapping[e] = obj.carrier[acc]
-    lifted = morphism_from_dict(obj, obj, mapping)
-    if not is_homomorphism(lifted):
+                acc = table[acc][lifted[pos[g]]]
+            lifted[e] = acc
+    hat = _morphism(obj, obj, tuple(lifted))
+    if not is_homomorphism(hat):
         raise InternalConsistencyError(
-            f"assembled lift is not a homomorphism at {_hom_violation(lifted)}")
-    for a in root.carrier:
-        if lifted(a) != phi(a):
-            raise InternalConsistencyError("lift does not restrict to phi")
-    return LiftedEndomorphism(phi, star, catalog, lifted, tuple(components))
-
-
-def _relabel(s: FiniteStructure, rename: dict[str, str]) -> FiniteStructure:
-    return FiniteStructure(s.class_tag, tuple(rename[x] for x in s.carrier), s.table)
+            f"assembled lift is not a homomorphism at {_hom_violation(hat)}")
+    if [lifted[a] for a in at_root] != [at_root[r] for r in f_root]:
+        raise InternalConsistencyError("lift does not restrict to phi")
+    return LiftedEndomorphism(phi, star, catalog, hat, tuple(components))
 
 
 @dataclass(frozen=True)
@@ -168,9 +164,8 @@ def verify_functoriality(phi: Morphism, phi_prime: Morphism,
     raise InternalConsistencyError("mappings differ but no mismatch found")
 
 
-def endomorphisms(s: FiniteStructure,
-                  bound_bits: int = DEFAULT_HOM_BOUND_BITS) -> list[Morphism]:
-    return enumerate_homs(s, s, bound_bits)
+def endomorphisms(s: FiniteStructure) -> list[Morphism]:
+    return enumerate_homs(s, s)
 
 
 def lift_along_stages(phi: Morphism, chain: StageChain) -> list[LiftedEndomorphism]:
@@ -228,22 +223,25 @@ class CayleyEmbedding:
 
 
 def _semilattice_endo_from_generator_map(root: FiniteStructure,
-                                         gens: tuple[str, ...],
-                                         gmap: dict[str, str]) -> Morphism:
-    """Extend a self-map of the free generators to the whole free semilattice."""
-    pos = {x: k for k, x in enumerate(root.carrier)}
-    mapping = {}
-    gen_index = {g: k for k, g in enumerate(gens)}
-    for x in root.carrier:
+                                         gens: list[int],
+                                         images: list[int]) -> Morphism:
+    """Extend a self-map of the free generators to the whole free semilattice.
+
+    `gens` and `images` are root positions: generator k goes to `images[k]`.
+    """
+    t = root.table
+    positions = []
+    for x, row in enumerate(t):
         # Decompose x as a meet of generators by scanning which generators lie above it.
-        above = [g for g in gens if root.meet(x, g) == x]
+        above = [k for k, g in enumerate(gens) if row[g] == x]
         if not above:
-            raise InternalConsistencyError(f"{x!r} is not a meet of generators")
-        acc = pos[gmap[above[0]]]
-        for g in above[1:]:
-            acc = root.table[acc][pos[gmap[g]]]
-        mapping[x] = root.carrier[acc]
-    return morphism_from_dict(root, root, mapping)
+            raise InternalConsistencyError(
+                f"{root.carrier[x]!r} is not a meet of generators")
+        acc = images[above[0]]
+        for k in above[1:]:
+            acc = t[acc][images[k]]
+        positions.append(acc)
+    return _morphism(root, root, tuple(positions))
 
 
 def _cayley_catalog(root: FiniteStructure, class_tag: str,
@@ -300,26 +298,24 @@ def cayley_demo(table, class_tag: str, n: int | None = None) -> CayleyEmbedding:
     catalog = _cayley_catalog(root, class_tag, designated)
     star = build_star(root, catalog)
 
+    gens = [root.index(d) for d in designated]
     endos = []
     for s in range(m):
-        gmap = {designated[x]: designated[full[x][s]] for x in range(m)}
-        for k in range(m, n):
-            gmap[designated[k]] = designated[k]
+        images = [gens[full[x][s]] for x in range(m)] + gens[m:]
         if class_tag == SEMILATTICE:
-            endos.append(_semilattice_endo_from_generator_map(root, designated, gmap))
-        else:
-            endos.append(morphism_from_dict(root, root, {x: gmap.get(x, x)
-                                                         for x in root.carrier}))
+            endos.append(_semilattice_endo_from_generator_map(root, gens, images))
+        else:  # every point is designated, in carrier order
+            endos.append(_morphism(root, root, tuple(images)))
     lifted = [lift(phi, star, catalog) for phi in endos]
 
-    maps = [l.lifted.mapping for l in lifted]
+    maps = [l.lifted.positions for l in lifted]
     if len(set(maps)) != m:
         raise InternalConsistencyError("Cayley representation is not injective")
     checked = 0
     for s in range(m):
         for t in range(m):
             left = lifted[s].lifted.compose(lifted[t].lifted)
-            if left.mapping != maps[full[t][s]]:
+            if left.positions != maps[full[t][s]]:
                 raise InternalConsistencyError(
                     f"multiplicativity fails at pair ({s}, {t})")
             checked += 1

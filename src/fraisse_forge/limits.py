@@ -113,12 +113,11 @@ def star_amalgam(catalog: Catalog) -> RootedMultiAmalgam:
     return RootedMultiAmalgam(catalog.root, pairs)
 
 
-def build_star(root: FiniteStructure, catalog: Catalog,
-               max_elements: int | None = None) -> FreeSum:
+def build_star(root: FiniteStructure, catalog: Catalog) -> FreeSum:
     """A★: the free sum of the root with one arm per catalog entry."""
     if catalog.root != root:
         raise StructureError("catalog was built for a different root")
-    return free_sum(star_amalgam(catalog), max_elements=max_elements)
+    return free_sum(star_amalgam(catalog))
 
 
 @dataclass(frozen=True)
@@ -225,9 +224,9 @@ def check_graph_extension_property(chain: StageChain, U, V,
     for x in U + V:
         if x not in small.carrier:
             raise StructureError(f"{x!r} is not a vertex of the requested stage")
-    for w in big.carrier:
-        if w in U or w in V:
-            continue
-        if all(big.adjacent(w, u) for u in U) and not any(big.adjacent(w, v) for v in V):
-            return ExtensionWitnessReport(True, w)
+    iu, iv = [big.index(u) for u in U], [big.index(v) for v in V]
+    skip = set(iu + iv)
+    for w, row in enumerate(big.table):
+        if w not in skip and all(row[u] for u in iu) and not any(row[v] for v in iv):
+            return ExtensionWitnessReport(True, big.carrier[w])
     return ExtensionWitnessReport(False, None)

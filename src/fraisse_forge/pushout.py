@@ -14,8 +14,7 @@ from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
                          FiniteStructure, InternalConsistencyError, Morphism,
                          StructureError, _fresh_id, _morphism, apply_code,
                          enumerate_homs, identity_morphism, is_embedding,
-                         is_homomorphism, is_surjection, morphism_from_dict,
-                         validate)
+                         is_homomorphism, is_surjection, validate)
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,9 @@ def pushout_1phep(span: Span) -> PushoutSquare:
         obj_new = [e for k, e in enumerate(obj.carrier) if k not in hit]
         witness = {"case": "quotient", "congruence": theta.blocks,
                    "new_point": obj_new[0] if obj_new else None}
-    _validate_constructed(obj, "1PHEP pushout")
-    if not is_surjection(left_leg) or not is_homomorphism(left_leg):
+    if tag != SEMILATTICE:  # `quotient` validated it
+        _validate_constructed(obj, "1PHEP pushout")
+    if not is_surjection(left_leg):  # False for a non-homomorphism too
         raise InternalConsistencyError("1PHEP left leg is not a surjective hom")
     if not is_embedding(right_leg):
         raise InternalConsistencyError("1PHEP right leg is not an embedding")
@@ -166,7 +166,8 @@ def pushout_1phep(span: Span) -> PushoutSquare:
 # ---------------------------------------------------------------------------
 
 def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
-                 ) -> tuple[FiniteStructure, dict[str, tuple[str, ...]] | None]:
+                 ) -> tuple[FiniteStructure, dict[str, tuple[str, ...]] | None,
+                            list[tuple[int, ...]]]:
     """Free amalgam of the spokes over their shared hub.
 
     Each spoke is `(structure, ids)`: `ids[i]` names spoke element i in the
@@ -177,7 +178,8 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
     is its ground decomposition.  Graphs, posets and metric spaces keep the
     hub's and each spoke's relations and add only those forced through the
     hub: none for graphs, order composition for posets, min-plus routing for
-    metric spaces; `parts` is None for them.
+    metric spaces; `parts` is None for them.  The last value holds, per
+    spoke, the result carrier position of each spoke element.
     """
     tag = hub.class_tag
     n = len(hub.carrier)
@@ -193,14 +195,14 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
                 carrier.append(x)
             elif pos[x] >= n:
                 raise StructureError(f"fresh id {x!r} named twice")
-        at = [pos[x] for x in ids]
+        at = tuple([pos[x] for x in ids])
         arms.append((s, at, [k for k, p in enumerate(at) if p < n],
                      [k for k, p in enumerate(at) if p >= n]))
     if tag == SEMILATTICE:
         comps = [meetglue.GlueComponent.from_structure(hub)] + [
             meetglue.GlueComponent.from_structure(s, ids) for s, ids in spokes]
         glued = meetglue.glue(comps, carrier, max_elements=max_elements)
-        return glued.structure, glued.parts
+        return glued.structure, glued.parts, [arm[1] for arm in arms]
     m = len(carrier)
     zero = Fraction(0) if tag == METRIC else False
     t = [list(row) + [zero] * (m - n) for row in hub.table] + \
@@ -256,10 +258,11 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
                     raise InternalConsistencyError(
                         f"free poset amalgam broke antisymmetry at "
                         f"({carrier[q]}, {carrier[p]})")
-    return FiniteStructure(tag, tuple(carrier), tuple(map(tuple, t))), None
+    return (FiniteStructure(tag, tuple(carrier), tuple(map(tuple, t))), None,
+            [arm[1] for arm in arms])
 
 
-def amalgamated_sum(span: Span, max_elements: int | None = None) -> PushoutSquare:
+def amalgamated_sum(span: Span) -> PushoutSquare:
     """Free amalgamated sum of two embeddings out of a common base.
 
     The right leg's target is the hub of a `free_amalgam` and keeps its
@@ -268,20 +271,19 @@ def amalgamated_sum(span: Span, max_elements: int | None = None) -> PushoutSquar
     """
     if not is_embedding(span.left) or not is_embedding(span.right):
         raise StructureError("amalgamated sum needs two embeddings")
-    b, y, z = span.apex, span.left.target, span.right.target
-    into_z = {span.left(e): span.right(e) for e in b.carrier}
+    y, z = span.left.target, span.right.target
+    into_z = dict(zip(span.left.positions, span.right.positions))
     taken = set(z.carrier)
-    rename: dict[str, str] = {}
-    for e in y.carrier:
-        if e in into_z:
-            rename[e] = into_z[e]
+    ids = []
+    for k, e in enumerate(y.carrier):
+        if k in into_z:
+            ids.append(z.carrier[into_z[k]])
         else:
-            rename[e] = _fresh_id(e, taken)
-            taken.add(rename[e])
-    obj, parts = free_amalgam(z, [(y, tuple(rename[e] for e in y.carrier))],
-                              max_elements=max_elements)
-    left_leg = morphism_from_dict(y, obj, rename)
-    right_leg = morphism_from_dict(z, obj, {e: e for e in z.carrier})
+            ids.append(_fresh_id(e, taken))
+            taken.add(ids[-1])
+    obj, parts, (at,) = free_amalgam(z, [(y, tuple(ids))])
+    left_leg = _morphism(y, obj, at)
+    right_leg = _morphism(z, obj, tuple(range(len(z.carrier))))
     _validate_constructed(obj, "amalgamated sum")
     if not is_embedding(left_leg) or not is_embedding(right_leg):
         raise InternalConsistencyError("amalgamated sum leg is not an embedding")
@@ -340,44 +342,35 @@ def congruence_generated(s: FiniteStructure, pairs) -> Congruence:
     return Congruence(s, blocks)
 
 
-def is_meet_compatible(c: Congruence) -> bool:
-    s = c.structure
-    rep = {x: i for i, b in enumerate(c.blocks) for x in b}
-    for b in c.blocks:
-        for u, v in itertools.combinations(b, 2):
-            for w in s.carrier:
-                if rep[s.meet(u, w)] != rep[s.meet(v, w)]:
-                    return False
-    return True
-
-
 def quotient(s: FiniteStructure, c: Congruence) -> tuple[FiniteStructure, Morphism]:
     """Blockwise quotient semilattice and the natural surjection onto it.
 
-    Each block is named after its earliest member in carrier order.
+    Each block is named after its earliest member in carrier order.  The
+    table is read off `s` in one pass, which also checks that every choice of
+    members gives the same block.
     """
     if c.structure != s:
         raise StructureError("congruence does not belong to this structure")
-    reps = [b[0] for b in c.blocks]
     block_ix = {x: k for k, b in enumerate(c.blocks) for x in b}
-    n = len(reps)
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            k = block_ix[s.meet(reps[i], reps[j])]
-            table[i][j] = k
-    # Well-definedness: any member choice must give the same block.
-    for i, bi in enumerate(c.blocks):
-        for j, bj in enumerate(c.blocks):
-            for u in bi:
-                for v in bj:
-                    if block_ix[s.meet(u, v)] != table[i][j]:
-                        raise InternalConsistencyError(
-                            f"blockwise meet ill-defined at ({u}, {v})")
-    obj = FiniteStructure(SEMILATTICE, tuple(reps), tuple(map(tuple, table)))
+    if not all(c.blocks) or sum(map(len, c.blocks)) != len(s.carrier) \
+            or block_ix.keys() != set(s.carrier):
+        raise StructureError("congruence blocks do not partition the carrier")
+    block = [block_ix[x] for x in s.carrier]
+    n = len(c.blocks)
+    table: list[list[int | None]] = [[None] * n for _ in range(n)]
+    for i, row in enumerate(s.table):
+        out = table[block[i]]
+        for j, w in enumerate(row):
+            k, have = block[w], out[block[j]]
+            if have is None:
+                out[block[j]] = k
+            elif have != k:
+                raise InternalConsistencyError(
+                    f"blockwise meet ill-defined at ({s.carrier[i]}, {s.carrier[j]})")
+    obj = FiniteStructure(SEMILATTICE, tuple([b[0] for b in c.blocks]),
+                          tuple(map(tuple, table)))
     _validate_constructed(obj, "quotient")
-    nu = _morphism(s, obj, tuple([block_ix[x] for x in s.carrier]))
-    return obj, nu
+    return obj, _morphism(s, obj, tuple(block))
 
 
 # ---------------------------------------------------------------------------

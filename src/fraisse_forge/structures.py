@@ -487,13 +487,6 @@ def meet_closed_subsets(s: FiniteStructure, max_size: int):
 # Homomorphism enumeration (the oracle backend)
 # ---------------------------------------------------------------------------
 
-def hom_count_within_bound(x: FiniteStructure, y: FiniteStructure,
-                           bound_bits: int = DEFAULT_HOM_BOUND_BITS) -> bool:
-    if len(y.carrier) <= 1:
-        return True
-    return len(x.carrier) * math.log2(len(y.carrier)) <= bound_bits
-
-
 def enumerate_homs(x: FiniteStructure, y: FiniteStructure,
                    bound_bits: int = DEFAULT_HOM_BOUND_BITS) -> list[Morphism]:
     """All homomorphisms x -> y in lexicographic order of their map tables.
@@ -506,7 +499,7 @@ def enumerate_homs(x: FiniteStructure, y: FiniteStructure,
         raise StructureError("class mismatch")
     _require_valid(x, "source")
     _require_valid(y, "target")
-    if not hom_count_within_bound(x, y, bound_bits):
+    if len(y.carrier) > 1 and len(x.carrier) * math.log2(len(y.carrier)) > bound_bits:
         raise BoundExceeded(
             f"{len(y.carrier)}^{len(x.carrier)} exceeds the 2^{bound_bits} bound")
     n, m = len(x.carrier), len(y.carrier)
@@ -582,24 +575,6 @@ class ExtensionCode:
     class_tag: str
     base_carrier: tuple[str, ...]
     code: tuple
-
-    def rebased(self, base_map: dict[str, str],
-                new_base_carrier: tuple[str, ...]) -> "ExtensionCode":
-        """Transport the code along a base isomorphism (id relabeling)."""
-        pos = {b: i for i, b in enumerate(self.base_carrier)}
-        order = sorted(self.base_carrier, key=lambda b: new_base_carrier.index(base_map[b]))
-        if self.class_tag == GRAPH:
-            code = tuple(base_map[b] for b in order if b in self.code)
-        elif self.class_tag == POSET:
-            lo, up = self.code
-            code = (tuple(base_map[b] for b in order if b in lo),
-                    tuple(base_map[b] for b in order if b in up))
-        elif self.class_tag == METRIC:
-            code = tuple(self.code[pos[b]] for b in order)
-        else:
-            code = tuple(None if self.code[pos[b]] is None else base_map[self.code[pos[b]]]
-                         for b in order)
-        return ExtensionCode(self.class_tag, tuple(base_map[b] for b in order), code)
 
 
 def _position(s: FiniteStructure, x: str) -> int:

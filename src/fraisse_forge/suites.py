@@ -14,10 +14,9 @@ from .limits import (CatalogParams, build_stages, build_star,
                      check_weak_homogeneity, enumerate_extensions)
 from .lifting import cayley_demo, endomorphisms, lift
 from .pushout import Span, all_structures, pushout_1phep, verify_universal_property
-from .structures import (DEFAULT_HOM_BOUND_BITS, METRIC, BoundExceeded,
-                         FiniteStructure, apply_code, enumerate_codes,
-                         enumerate_homs, is_surjection, morphism_from_dict,
-                         validate)
+from .structures import (METRIC, BoundExceeded, FiniteStructure, apply_code,
+                         enumerate_codes, enumerate_homs, is_surjection,
+                         morphism_from_dict, validate)
 
 DEFAULT_ORACLE_GRID = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -57,8 +56,7 @@ def enumerate_1phep_spans(class_tag: str, max_size: int,
 
 
 def suite_pushout_oracle(class_tag: str, max_size: int = 3,
-                         grid: tuple[Fraction, ...] = DEFAULT_ORACLE_GRID,
-                         bound_bits: int = DEFAULT_HOM_BOUND_BITS) -> dict:
+                         grid: tuple[Fraction, ...] = DEFAULT_ORACLE_GRID) -> dict:
     """Every bounded 1PHEP span's pushout passes the brute-force
     universal-property oracle against all bounded same-class test objects."""
     g = grid if class_tag == METRIC else None
@@ -69,7 +67,7 @@ def suite_pushout_oracle(class_tag: str, max_size: int = 3,
     for span in enumerate_1phep_spans(class_tag, max_size, grid):
         checked += 1
         sq = pushout_1phep(span)
-        rep = verify_universal_property(sq, test_objects, bound_bits)
+        rep = verify_universal_property(sq, test_objects)
         if not rep.passed:
             failures.append({"span": _span_key(span),
                              "failures": [list(map(str, f)) for f in rep.failures]})
@@ -101,14 +99,13 @@ def suite_homogeneity(root: FiniteStructure, params: CatalogParams,
             "stage_sizes": [len(s.carrier) for s in chain.stages]}
 
 
-def suite_functoriality(root: FiniteStructure, params: CatalogParams,
-                        bound_bits: int = DEFAULT_HOM_BOUND_BITS) -> dict:
+def suite_functoriality(root: FiniteStructure, params: CatalogParams) -> dict:
     """All pairs of base endomorphisms: composition and identity laws, and
     injectivity of the lifting map."""
     catalog = enumerate_extensions(root, params)
     star = build_star(root, catalog)
     try:
-        endos = endomorphisms(root, bound_bits)
+        endos = endomorphisms(root)
     except BoundExceeded as e:
         return {"suite": "functoriality", "passed": False, "checked": 0,
                 "failures": [], "skipped": [{"reason": str(e)}]}

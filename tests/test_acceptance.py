@@ -13,8 +13,7 @@ import pytest
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, AmalgamPair,
                            CatalogParams, RootedMultiAmalgam, Span, cli,
                            congruence_generated, free_sum,
-                           free_sum_isomorphism, morphism_from_dict,
-                           pushout_1phep, semilattice_iterated_sum)
+                           morphism_from_dict, pushout_1phep)
 from fraisse_forge.pushout import all_structures, amalgamated_sum
 from fraisse_forge.presets import (antichain, edgeless_graph,
                                    free_semilattice, simplex)
@@ -27,6 +26,7 @@ from fraisse_forge.structures import (apply_code, enumerate_codes,
 from fraisse_forge.suites import (enumerate_1phep_spans, suite_cayley,
                                   suite_functoriality, suite_homogeneity,
                                   suite_pushout_oracle)
+from helpers import free_sum_isomorphism, semilattice_iterated_sum
 
 GRID12 = (Fraction(1), Fraction(2))
 GRID123 = (Fraction(1), Fraction(2), Fraction(3))

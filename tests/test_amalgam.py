@@ -8,15 +8,15 @@ import pytest
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, AmalgamPair,
                            ExtensionCode, RootedMultiAmalgam, Span,
                            StructureError, all_structures, amalgamated_sum,
-                           apply_code, enumerate_codes,
-                           enumerate_homs, forced_root_isomorphism, free_sum,
-                           free_sum_isomorphism, induced_substructure,
-                           is_embedding, morphism_from_dict,
-                           semilattice_iterated_sum, validate)
+                           apply_code, enumerate_codes, enumerate_homs,
+                           free_sum, induced_substructure, is_embedding,
+                           morphism_from_dict, validate)
 from fraisse_forge.presets import (antichain, edgeless_graph,
                                    free_semilattice, semilattice_from_meets,
                                    simplex)
 from fraisse_forge.structures import meet_closed_subsets
+from helpers import (forced_root_isomorphism, free_sum_isomorphism,
+                     semilattice_iterated_sum)
 
 
 def pairs_over_whole(root, codes, name="x"):
@@ -95,6 +95,22 @@ def all_small_amalgams(tag, grid=None, max_pairs=3):
         for k in (2, max_pairs):
             if len(arm_pool) >= k:
                 yield RootedMultiAmalgam(root, tuple(arm_pool[:k]))
+
+
+class TestMaps:
+    @pytest.mark.parametrize("tag,grid", [
+        (GRAPH, None), (POSET, None),
+        (METRIC, (Fraction(1), Fraction(2))), (SEMILATTICE, None)])
+    def test_root_and_legs_are_identity_on_ids(self, tag, grid):
+        # the maps are built from carrier positions; their ids are the definition
+        checked = 0
+        for ma in all_small_amalgams(tag, grid):
+            fs = free_sum(ma)
+            assert fs.root_embedding.mapping == ma.root.carrier
+            for leg in fs.leg_embeddings:
+                assert leg.mapping == leg.source.carrier
+            checked += 1
+        assert checked > 0
 
 
 class TestCoherence:

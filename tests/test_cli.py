@@ -75,6 +75,27 @@ class TestBuild:
                            "--out", str(tmp_path))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("grid", ["x", "1/0"])
+    def test_bad_grid(self, tmp_path, capsys, grid):
+        code, _, err = run(capsys, "build", "--root", "simplex:2:1", "--grid", grid,
+                           "--out", str(tmp_path))
+        assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("command", ["build", "export"])
+    def test_unreadable_root_file(self, tmp_path, capsys, kind, command):
+        p = tmp_path / "root.json"
+        if kind == "directory":
+            p.mkdir()
+        else:
+            p.write_bytes(b'\xff{"carrier":["a"]}')
+        if command == "build":
+            argv = ("build", "--root", str(p), "--out", str(tmp_path / "out"))
+        else:
+            argv = ("export", "--stage", str(p), "--format", "json")
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "error:" in err
+
     def test_class_mismatch(self, tmp_path, capsys):
         code, _, err = run(capsys, "build", "--root", "edgeless:2",
                            "--class", "poset", "--out", str(tmp_path))
@@ -99,6 +120,19 @@ class TestVerify:
     def test_axioms_needs_input(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "axioms")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["x", "1/0"])
+    @pytest.mark.parametrize("suite", ["pushout-oracle", "homogeneity"])
+    def test_bad_grid(self, capsys, suite, grid):
+        code, _, err = run(capsys, "verify", "--suite", suite, "--class", "metric",
+                           "--root", "simplex:2:1", "--grid", grid)
+        assert code == 2 and "error:" in err
+
+    def test_unreadable_stage_file(self, tmp_path, capsys):
+        (tmp_path / "stage0.json").mkdir()
+        code, _, err = run(capsys, "verify", "--suite", "axioms",
+                           "--dir", str(tmp_path))
+        assert code == 2 and "error:" in err
 
     def test_pushout_oracle_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "pushout-oracle",

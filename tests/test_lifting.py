@@ -132,14 +132,16 @@ class TestLiftWitnesses:
         obj = star.object
         # a fresh point adjacent to v0 alone; sending it to v1 breaks that edge
         n = next(x for x in star.new_ids if obj.adjacent("v0", x))
-        real = lifting.morphism_from_dict
+        real = lifting._morphism
 
-        def corrupt(source, target, d):
+        def corrupt(source, target, positions):
             if source is obj and target is obj:
-                d = {**d, n: "v1"}
-            return real(source, target, d)
+                positions = list(positions)
+                positions[obj.index(n)] = obj.index("v1")
+                positions = tuple(positions)
+            return real(source, target, positions)
 
-        monkeypatch.setattr(lifting, "morphism_from_dict", corrupt)
+        monkeypatch.setattr(lifting, "_morphism", corrupt)
         with pytest.raises(InternalConsistencyError) as e:
             lift(identity_morphism(root), star, cat)
         assert f"('v0', '{n}')" in str(e.value)

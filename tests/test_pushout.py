@@ -1,6 +1,7 @@
 """Pushout recipes, contracts, congruences, and the universal-property oracle."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,7 @@ from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE,
                            ValidationReport, all_structures, amalgamated_sum,
                            apply_code, classify, congruence_generated,
                            enumerate_codes, enumerate_homs,
-                           identity_morphism, is_embedding,
-                           is_meet_compatible, is_surjection,
+                           identity_morphism, is_embedding, is_surjection,
                            morphism_from_dict, pushout_1phep, quotient,
                            validate, verify_universal_property)
 from fraisse_forge import pushout
@@ -20,8 +20,9 @@ from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    free_semilattice, graph_from_edges,
                                    metric_from_distances, poset_from_pairs,
                                    semilattice_from_meets, simplex)
-from fraisse_forge.structures import meet_closed_subsets
+from fraisse_forge.structures import Morphism, _fresh_id, meet_closed_subsets
 from fraisse_forge.suites import enumerate_1phep_spans
+from helpers import is_meet_compatible
 
 
 def embed_into_code_extension(base, code, new="x"):
@@ -221,6 +222,44 @@ class TestCongruence:
         cong = congruence_generated(s, [])
         assert len(cong.blocks) == len(s.carrier)
 
+    def test_quotient_against_blockwise_ids(self):
+        # reference: the meet of the blocks' first members, looked up by id
+        checked = 0
+        for s in all_structures(SEMILATTICE, 3) + [free_semilattice(3)]:
+            for u, v in itertools.combinations(s.carrier, 2):
+                cong = congruence_generated(s, [(u, v)])
+                reps = [b[0] for b in cong.blocks]
+                block = {x: k for k, b in enumerate(cong.blocks) for x in b}
+                table = tuple(tuple(block[s.meet(a, b)] for b in reps) for a in reps)
+                q, nu = quotient(s, cong)
+                assert q == FiniteStructure(SEMILATTICE, tuple(reps), table)
+                assert nu.mapping == tuple(reps[block[x]] for x in s.carrier)
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("blocks", [
+        (("g0",), ("g1",)),
+        (("g0", "g1"), ("g1", "(g0^g1)")),
+        (("g0", "g1", "(g0^g1)"), ()),
+        (("g0", "g1", "(g0^g1)", "zz"),),
+    ], ids=["missing", "overlapping", "empty", "foreign"])
+    def test_quotient_needs_a_partition(self, blocks):
+        s = free_semilattice(2)
+        with pytest.raises(StructureError, match="partition"):
+            quotient(s, pushout.Congruence(s, blocks))
+
+    def test_ill_defined_quotient_names_its_pair(self):
+        # the chain c < b < a with a ~ c: b^a = b but b^c = c
+        s = semilattice_from_meets("abc", {("a", "b"): "b", ("a", "c"): "c",
+                                           ("b", "c"): "c"})
+        cong = pushout.Congruence(s, (("a", "c"), ("b",)))
+        with pytest.raises(InternalConsistencyError) as e:
+            quotient(s, cong)
+        u, v = re.search(r"ill-defined at \((\w+), (\w+)\)", str(e.value)).groups()
+        block = {x: k for k, b in enumerate(cong.blocks) for x in b}
+        assert any(block[s.meet(u2, v2)] != block[s.meet(u, v)]
+                   for u2 in cong.blocks[block[u]] for v2 in cong.blocks[block[v]])
+
 
 class TestAmalgamatedSum:
     def test_needs_embeddings(self):
@@ -260,6 +299,38 @@ class TestAmalgamatedSum:
                         sq = amalgamated_sum(Span(l1, l2))
                         assert is_embedding(sq.left_leg)
                         assert is_embedding(sq.right_leg)
+
+    def test_legs_against_id_renaming(self):
+        # y names its base points apart from z, in reverse order, and reuses
+        # z's fresh id; the legs must be the renaming defined on ids
+        grids = {METRIC: (Fraction(1), Fraction(2))}
+        checked = 0
+        for tag in (GRAPH, POSET, METRIC, SEMILATTICE):
+            for b in all_structures(tag, 2, grids.get(tag)):
+                codes = enumerate_codes(tag, b, grid=grids.get(tag))
+                for c1 in codes:
+                    e1 = apply_code(b, c1, "x")
+                    y = FiniteStructure(tag, tuple(f"y{k}" for k in reversed(
+                        range(len(b.carrier)))) + ("x",), e1.table)
+                    left = Morphism(b, y, y.carrier[:-1])
+                    for c2 in codes:
+                        z = apply_code(b, c2, "x")
+                        right = morphism_from_dict(b, z, {x: x for x in b.carrier})
+                        sq = amalgamated_sum(Span(left, right))
+                        into_z = {left(e): right(e) for e in b.carrier}
+                        taken = set(z.carrier)
+                        rename = {}
+                        for e in y.carrier:
+                            if e in into_z:
+                                rename[e] = into_z[e]
+                            else:
+                                rename[e] = _fresh_id(e, taken)
+                                taken.add(rename[e])
+                        assert sq.left_leg == morphism_from_dict(y, sq.object, rename)
+                        assert sq.right_leg == morphism_from_dict(
+                            z, sq.object, {e: e for e in z.carrier})
+                        checked += 1
+        assert checked > 0
 
     def test_mediating_property_small(self):
         # the sum is the pushout: unique mediating morphism per cocone

@@ -23,6 +23,7 @@ from fraisse_forge.presets import (antichain, chain, edgeless_graph,
 from fraisse_forge.pushout import all_structures
 from fraisse_forge.structures import (enumerate_isomorphisms_over_base,
                                       fresh_ids, meet_closed_subsets)
+from helpers import rebased
 
 
 def k2():
@@ -380,7 +381,7 @@ class TestExtensionCodes:
     def test_rebased(self):
         base = edgeless_graph(2)
         code = ExtensionCode(GRAPH, base.carrier, ("v0",))
-        swapped = code.rebased({"v0": "v1", "v1": "v0"}, base.carrier)
+        swapped = rebased(code, {"v0": "v1", "v1": "v0"}, base.carrier)
         assert swapped.code == ("v1",)
 
 

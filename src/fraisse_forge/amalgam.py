@@ -77,8 +77,8 @@ def free_sum(amalgam: RootedMultiAmalgam,
     """Free sum of a rooted multi-amalgam, all arms in one pass.
 
     The root is the hub of one `pushout.free_amalgam` and each arm's one-point
-    extension a spoke; for semilattices `max_elements` bounds the glued
-    carrier.  The root and every arm extension embed by the identity on ids.
+    extension a spoke; `max_elements` bounds the summed carrier.  The root and
+    every arm extension embed by the identity on ids.
     """
     root = amalgam.root
     exts = _arm_extensions(amalgam)
@@ -88,8 +88,11 @@ def free_sum(amalgam: RootedMultiAmalgam,
     if not is_embedding(root_embedding):
         raise InternalConsistencyError("root does not embed into the free sum")
     legs = tuple(_morphism(ext, obj, p) for ext, p in zip(exts, at))
-    if not all(map(is_embedding, legs)):
-        raise InternalConsistencyError("an extension leg is not an embedding")
+    for k, leg in enumerate(legs):
+        if not is_embedding(leg):
+            raise InternalConsistencyError(
+                f"arm {k} (new id {exts[k].carrier[-1]!r}) does not embed "
+                f"into the free sum")
     return FreeSum(amalgam, obj, root_embedding, legs,
                    tuple(ext.carrier[-1] for ext in exts), ground_parts=parts)
 

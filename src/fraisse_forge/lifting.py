@@ -64,7 +64,6 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
     obj = star.object
     at_root = star.root_embedding.positions
     fresh = [leg.positions[-1] for leg in star.leg_embeddings]
-    root_ix = {x: k for k, x in enumerate(root.carrier)}
     f_root = phi.positions
     components: list[LiftComponent] = []
     lifted: list[int | None] = [None] * len(obj.carrier)
@@ -79,7 +78,7 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
             components.append(LiftComponent(i, j, identity_morphism(ci), psi, psi))
             lifted[fresh[i]] = fresh[j]
             continue
-        base = [root_ix[b] for b in base_carrier]
+        base = [root.index(b) for b in base_carrier]
         image = sorted({f_root[r] for r in base})
         img = tuple([root.carrier[r] for r in image])
         bi = induced_substructure(root, base_carrier)

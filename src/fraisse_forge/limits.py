@@ -3,6 +3,7 @@ and homogeneity / extension-property checkers."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from .structures import (GRAPH, METRIC, SEMILATTICE, ExtensionCode,
                          FiniteStructure, InternalConsistencyError, Morphism,
                          StructureError, enumerate_codes, fresh_ids,
                          induced_substructure, meet_closed_subsets,
-                         point_codes, validate)
+                         point_codes, require_valid)
 
 DEFAULT_STAGE_CEILING = 5000
 STAGE_CEILING_ENV = "FORGE_MAX_CARRIER"
@@ -88,9 +89,7 @@ def _bases(root: FiniteStructure, max_base_size: int):
 
 
 def enumerate_extensions(root: FiniteStructure, params: CatalogParams) -> Catalog:
-    rep = validate(root)
-    if not rep.ok:
-        raise StructureError(f"invalid catalog root: {rep.error}")
+    require_valid(root, "catalog root")
     if root.class_tag == METRIC and not params.metric_grid:
         raise StructureError("metric catalogs require a non-empty distance grid")
     entries = []
@@ -100,7 +99,10 @@ def enumerate_extensions(root: FiniteStructure, params: CatalogParams) -> Catalo
         for code in enumerate_codes(root.class_tag, base, grid=grid):
             entries.append((tuple(base_carrier), code))
     if len(set(entries)) != len(entries):
-        raise InternalConsistencyError("duplicate catalog entries")
+        count = collections.Counter(entries)
+        base, code = next(e for e in entries if count[e] > 1)
+        raise InternalConsistencyError(
+            f"duplicate catalog entry: base {base}, code {code.code}")
     return Catalog(root, params, tuple(entries))
 
 
@@ -155,8 +157,6 @@ def build_stages(root: FiniteStructure, k: int, params: CatalogParams,
             fs = free_sum(star_amalgam(cat), max_elements=ceiling)
         except SizeCeilingExceeded as e:
             raise StageCeilingExceeded(n + 1, e.reached, ceiling) from e
-        if len(fs.object.carrier) > ceiling:
-            raise StageCeilingExceeded(n + 1, len(fs.object.carrier), ceiling)
         stages.append(fs.object)
         inclusions.append(fs.root_embedding)
         catalogs.append(cat)
@@ -221,10 +221,8 @@ def check_graph_extension_property(chain: StageChain, U, V,
     U, V = tuple(U), tuple(V)
     if set(U) & set(V):
         raise StructureError("U and V must be disjoint")
-    for x in U + V:
-        if x not in small.carrier:
-            raise StructureError(f"{x!r} is not a vertex of the requested stage")
-    iu, iv = [big.index(u) for u in U], [big.index(v) for v in V]
+    inc = chain.inclusions[stage].positions
+    iu, iv = [inc[small.index(u)] for u in U], [inc[small.index(v)] for v in V]
     skip = set(iu + iv)
     for w, row in enumerate(big.table):
         if w not in skip and all(row[u] for u in iu) and not any(row[v] for v in iv):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .structures import SEMILATTICE, FiniteStructure, InternalConsistencyError
+from .structures import (SEMILATTICE, FiniteStructure, InternalConsistencyError,
+                         StructureError)
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,9 @@ class GlueComponent:
         return GlueComponent(tuple(s.carrier if ids is None else ids), s.table)
 
 
-class SizeCeilingExceeded(Exception):
+class SizeCeilingExceeded(StructureError):
     def __init__(self, ceiling: int, reached: int):
-        super().__init__(f"glued semilattice exceeds {ceiling} elements "
+        super().__init__(f"free amalgam exceeds {ceiling} elements "
                          f"(at least {reached} found)")
         self.ceiling = ceiling
         self.reached = reached

@@ -12,9 +12,10 @@ from . import meetglue
 from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
                          SEMILATTICE, BoundExceeded, ExtensionCode,
                          FiniteStructure, InternalConsistencyError, Morphism,
-                         StructureError, _fresh_id, _morphism, apply_code,
-                         enumerate_homs, identity_morphism, is_embedding,
-                         is_homomorphism, is_surjection, validate)
+                         StructureError, _fresh_id, _hom_violation, _morphism,
+                         apply_code, classify, enumerate_homs,
+                         identity_morphism, is_embedding, is_homomorphism,
+                         is_surjection, require_valid, validate)
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,12 @@ class PushoutSquare:
     witness: dict = field(compare=False)
 
     def __post_init__(self):
-        lhs = self.left_leg.compose(self.span.left)
-        rhs = self.right_leg.compose(self.span.right)
-        if lhs.positions != rhs.positions:
-            raise InternalConsistencyError("pushout square does not commute")
+        lhs = self.left_leg.compose(self.span.left).positions
+        rhs = self.right_leg.compose(self.span.right).positions
+        if lhs != rhs:
+            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            raise InternalConsistencyError(f"pushout square does not commute "
+                                           f"at {self.span.apex.carrier[k]!r}")
 
 
 def _one_point_over(ext: FiniteStructure, base_image: tuple[str, ...]) -> str:
@@ -66,11 +69,10 @@ def _check_1phep_span(span: Span) -> str:
     return _one_point_over(span.left.target, span.left.image())
 
 
-def _validate_constructed(s: FiniteStructure, what: str) -> None:
-    rep = validate(s)
-    if not rep.ok:
-        raise InternalConsistencyError(
-            f"constructed {what} fails validation: {rep.error} at {rep.witness}")
+def _leg_error(what: str, leg: Morphism) -> InternalConsistencyError:
+    """A failed leg check, naming the leg's kind and its hom violation."""
+    return InternalConsistencyError(
+        f"{what}: it is {classify(leg)!r}, hom violation at {_hom_violation(leg)}")
 
 
 def pushout_1phep(span: Span) -> PushoutSquare:
@@ -112,7 +114,8 @@ def pushout_1phep(span: Span) -> PushoutSquare:
         if shared:
             if len(shared) != 1:
                 raise InternalConsistencyError(
-                    "collapse point between the down-set and up-set not unique")
+                    f"collapse point between the down-set and up-set not unique: "
+                    f"{[bp.carrier[p] for p in sorted(shared)]}")
             y0 = next(iter(shared))
             obj, left_leg, right_leg = bp, left_to(bp, y0), identity_morphism(bp)
             witness = {"case": "collapse", "collapse_point": bp.carrier[y0]}
@@ -123,7 +126,9 @@ def pushout_1phep(span: Span) -> PushoutSquare:
             up = tuple(bp.carrier[p] for p in range(nb)
                        if any(bt[w][p] for w in upper))
             if set(down) & set(up):
-                raise InternalConsistencyError("poset insertion broke antisymmetry")
+                raise InternalConsistencyError(
+                    f"poset insertion broke antisymmetry at "
+                    f"{[y for y in down if y in set(up)]}")
             obj, left_leg, right_leg = adjoin(
                 ExtensionCode(POSET, bp.carrier, (down, up)), xp)
             witness = {"case": "insert", "new_point": xp}
@@ -153,11 +158,11 @@ def pushout_1phep(span: Span) -> PushoutSquare:
         witness = {"case": "quotient", "congruence": theta.blocks,
                    "new_point": obj_new[0] if obj_new else None}
     if tag != SEMILATTICE:  # `quotient` validated it
-        _validate_constructed(obj, "1PHEP pushout")
+        require_valid(obj, "1PHEP pushout", constructed=True)
     if not is_surjection(left_leg):  # False for a non-homomorphism too
-        raise InternalConsistencyError("1PHEP left leg is not a surjective hom")
+        raise _leg_error("1PHEP left leg is not a surjective hom", left_leg)
     if not is_embedding(right_leg):
-        raise InternalConsistencyError("1PHEP right leg is not an embedding")
+        raise _leg_error("1PHEP right leg is not an embedding", right_leg)
     return PushoutSquare(span, obj, left_leg, right_leg, witness)
 
 
@@ -173,8 +178,9 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
     Each spoke is `(structure, ids)`: `ids[i]` names spoke element i in the
     result, a hub id where the spoke meets the hub (those points must form an
     induced copy of the hub's) and a fresh id otherwise.  The carrier is the
-    hub's followed by the fresh ids in spoke order.  Semilattices are glued
-    by `meetglue.glue`, with `max_elements` bounding the result, and `parts`
+    hub's followed by the fresh ids in spoke order.  A result over
+    `max_elements` is refused with `meetglue.SizeCeilingExceeded` before any
+    table is built.  Semilattices are glued by `meetglue.glue`, and `parts`
     is its ground decomposition.  Graphs, posets and metric spaces keep the
     hub's and each spoke's relations and add only those forced through the
     hub: none for graphs, order composition for posets, min-plus routing for
@@ -198,12 +204,15 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
         at = tuple([pos[x] for x in ids])
         arms.append((s, at, [k for k, p in enumerate(at) if p < n],
                      [k for k, p in enumerate(at) if p >= n]))
+    m = len(carrier)
+    if max_elements is not None and m > max_elements:
+        # For semilattices the ground carrier only bounds the glued size below.
+        raise meetglue.SizeCeilingExceeded(max_elements, m)
     if tag == SEMILATTICE:
         comps = [meetglue.GlueComponent.from_structure(hub)] + [
             meetglue.GlueComponent.from_structure(s, ids) for s, ids in spokes]
         glued = meetglue.glue(comps, carrier, max_elements=max_elements)
         return glued.structure, glued.parts, [arm[1] for arm in arms]
-    m = len(carrier)
     zero = Fraction(0) if tag == METRIC else False
     t = [list(row) + [zero] * (m - n) for row in hub.table] + \
         [[zero] * m for _ in range(m - n)]
@@ -284,9 +293,10 @@ def amalgamated_sum(span: Span) -> PushoutSquare:
     obj, parts, (at,) = free_amalgam(z, [(y, tuple(ids))])
     left_leg = _morphism(y, obj, at)
     right_leg = _morphism(z, obj, tuple(range(len(z.carrier))))
-    _validate_constructed(obj, "amalgamated sum")
-    if not is_embedding(left_leg) or not is_embedding(right_leg):
-        raise InternalConsistencyError("amalgamated sum leg is not an embedding")
+    require_valid(obj, "amalgamated sum", constructed=True)
+    for side, leg in (("left", left_leg), ("right", right_leg)):
+        if not is_embedding(leg):
+            raise _leg_error(f"amalgamated sum {side} leg is not an embedding", leg)
     return PushoutSquare(span, obj, left_leg, right_leg,
                          {"case": "glue", "parts": parts})
 
@@ -369,7 +379,7 @@ def quotient(s: FiniteStructure, c: Congruence) -> tuple[FiniteStructure, Morphi
                     f"blockwise meet ill-defined at ({s.carrier[i]}, {s.carrier[j]})")
     obj = FiniteStructure(SEMILATTICE, tuple([b[0] for b in c.blocks]),
                           tuple(map(tuple, table)))
-    _validate_constructed(obj, "quotient")
+    require_valid(obj, "quotient", constructed=True)
     return obj, _morphism(s, obj, tuple(block))
 
 

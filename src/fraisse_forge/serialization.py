@@ -6,8 +6,9 @@ less-or-equal pairs [i, j] for posets (reflexivity implied), distance triples
 [i, j, "p/q"] for metric spaces, and meet triples [i, j, k] for semilattices
 (diagonal implied).  Serialization is canonical: indices i < j, rows sorted,
 sorted keys, compact separators, one trailing newline.  Decoding accepts
-only canonical tables (rows sorted and each listed once, distances in lowest
-terms), so parse followed by serialize is byte-identical.
+only canonical documents (rows sorted and each listed once, distances in
+lowest terms), but checks the document, not its whitespace or key order:
+parse then serialize is byte-identical only for text in `dumps` layout.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .structures import (CLASS_TAGS, GRAPH, METRIC, POSET, FiniteStructure,
-                         StructureError, validate)
+from .structures import (CLASS_TAGS, GRAPH, METRIC, POSET, SEMILATTICE,
+                         FiniteStructure, StructureError, require_valid)
 
 
 def to_document(s: FiniteStructure) -> dict:
@@ -35,7 +36,11 @@ def to_document(s: FiniteStructure) -> dict:
 
 
 def from_document(doc: dict) -> FiniteStructure:
-    """Decode a structure document; any malformed document raises StructureError."""
+    """Decode a structure document; any malformed document raises StructureError.
+
+    Decoding checks what building the table needs and the canonical order;
+    the gate `require_valid` checks the rest, distinct ids among it.
+    """
     try:
         tag = doc["class"]
         carrier = doc["carrier"]
@@ -46,9 +51,8 @@ def from_document(doc: dict) -> FiniteStructure:
         raise StructureError("structure document has keys beyond class, carrier, table")
     if tag not in CLASS_TAGS:
         raise StructureError(f"unknown class {tag!r}")
-    if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier) \
-            or len(set(carrier)) != len(carrier):
-        raise StructureError("carrier must be a list of distinct strings")
+    if not isinstance(carrier, list) or not all(isinstance(x, str) for x in carrier):
+        raise StructureError("carrier must be a list of strings")
     carrier = tuple(carrier)
     n = len(carrier)
     width = 2 if tag in (GRAPH, POSET) else 3
@@ -56,28 +60,23 @@ def from_document(doc: dict) -> FiniteStructure:
             isinstance(row, list) and len(row) == width for row in rows):
         raise StructureError(f"{tag} table must be a list of {width}-entry rows")
 
-    def check_index(i):
-        # bool is an int subclass, but `true` is not a canonical index
-        if type(i) is not int or not 0 <= i < n:
-            raise StructureError(f"index {i!r} out of range")
-        return i
-
+    indices = 3 if tag == SEMILATTICE else 2
+    for row in rows:
+        for i in row[:indices]:
+            # bool is an int subclass, but `true` is not a canonical index
+            if type(i) is not int or not 0 <= i < n:
+                raise StructureError(f"index {i!r} out of range")
     if tag == GRAPH:
         t = [[False] * n for _ in range(n)]
         for i, j in rows:
-            check_index(i), check_index(j)
-            if i == j:
-                raise StructureError("graph document lists a loop")
             t[i][j] = t[j][i] = True
     elif tag == POSET:
         t = [[i == j for j in range(n)] for i in range(n)]
         for i, j in rows:
-            check_index(i), check_index(j)
             t[i][j] = True
     elif tag == METRIC:
         t = [[Fraction(0)] * n for _ in range(n)]
         for i, j, d in rows:
-            check_index(i), check_index(j)
             if not isinstance(d, str):
                 raise StructureError(f"distance {d!r} is not a \"p/q\" string")
             try:
@@ -88,25 +87,16 @@ def from_document(doc: dict) -> FiniteStructure:
             if str(t[i][j]) != d:
                 raise StructureError(f"distance {d!r} is not written {str(t[i][j])!r}")
     else:
-        t = [[None] * n for _ in range(n)]
-        for i in range(n):
-            t[i][i] = i
+        t = [[i if i == j else None for j in range(n)] for i in range(n)]
         for i, j, k in rows:
-            check_index(i), check_index(j), check_index(k)
             t[i][j] = t[j][i] = k
-        for i in range(n):
-            for j in range(n):
-                if t[i][j] is None:
-                    raise StructureError(f"missing meet entry for ({i}, {j})")
-    # Only the canonical table decodes, so that dumps(loads(text)) == text.
+    # Only the rows that `to_document` writes decode, each in its place.
     pairs = [(row[0], row[1]) for row in rows]
     if any(p >= q for p, q in zip(pairs, pairs[1:])) or any(
             i == j or (tag != POSET and i > j) for i, j in pairs):
         raise StructureError(f"{tag} table rows are not in canonical order")
     s = FiniteStructure(tag, carrier, tuple(map(tuple, t)))
-    rep = validate(s)
-    if not rep.ok:
-        raise StructureError(f"document decodes to an invalid structure: {rep.error}")
+    require_valid(s, "document")
     return s
 
 

@@ -7,6 +7,7 @@ are `fractions.Fraction` throughout -- no floats anywhere.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -79,10 +80,11 @@ class FiniteStructure:
         return len(self.carrier)
 
     def index(self, x: str) -> int:
-        return self.carrier.index(x)
-
-    def has(self, x: str) -> bool:
-        return x in self.carrier
+        """Carrier position of the id `x`: the one lookup from id to position."""
+        try:
+            return self.carrier.index(x)
+        except ValueError:
+            raise StructureError(f"{x!r} is not in the structure") from None
 
     # -- relational / algebraic accessors by element id --------------------
 
@@ -109,7 +111,9 @@ def _shape_check(s: FiniteStructure) -> ValidationReport:
     if n == 0:
         return ValidationReport(False, "empty carrier")
     if len(set(s.carrier)) != n:
-        return ValidationReport(False, "duplicate carrier ids")
+        count = collections.Counter(s.carrier)
+        return ValidationReport(False, "duplicate carrier ids",
+                                witness=(next(x for x in s.carrier if count[x] > 1),))
     if len(s.table) != n or any(len(row) != n for row in s.table):
         return ValidationReport(False, "table dimensions do not match carrier")
     if s.class_tag == SEMILATTICE:
@@ -245,9 +249,15 @@ def validate(s: FiniteStructure) -> ValidationReport:
     return _PASS
 
 
-def _require_valid(s: FiniteStructure, what: str = "structure") -> None:
+def require_valid(s: FiniteStructure, what: str, constructed: bool = False) -> None:
+    """The one gate: raise, naming the violated axiom and its witness, unless
+    `s` satisfies its class's axioms.  An input raises StructureError, a
+    `constructed` object InternalConsistencyError."""
     rep = validate(s)
     if not rep.ok:
+        if constructed:
+            raise InternalConsistencyError(
+                f"constructed {what} fails validation: {rep.error} at {rep.witness}")
         raise StructureError(f"invalid {what}: {rep.error} at {rep.witness}")
 
 
@@ -269,13 +279,7 @@ class Morphism:
                  mapping: tuple[str, ...]):
         if len(mapping) != len(source.carrier):
             raise StructureError("mapping is not total over the source carrier")
-        carrier = target.carrier
-        try:
-            positions = tuple([carrier.index(y) for y in mapping])
-        except ValueError:
-            missing = next(y for y in mapping if y not in carrier)
-            raise StructureError(
-                f"mapping hits non-carrier element {missing!r}") from None
+        positions = tuple([target.index(y) for y in mapping])
         _set(self, "source", source)
         _set(self, "target", target)
         _set(self, "positions", positions)
@@ -497,8 +501,8 @@ def enumerate_homs(x: FiniteStructure, y: FiniteStructure,
     """
     if x.class_tag != y.class_tag:
         raise StructureError("class mismatch")
-    _require_valid(x, "source")
-    _require_valid(y, "target")
+    require_valid(x, "source")
+    require_valid(y, "target")
     if len(y.carrier) > 1 and len(x.carrier) * math.log2(len(y.carrier)) > bound_bits:
         raise BoundExceeded(
             f"{len(y.carrier)}^{len(x.carrier)} exceeds the 2^{bound_bits} bound")
@@ -577,13 +581,6 @@ class ExtensionCode:
     code: tuple
 
 
-def _position(s: FiniteStructure, x: str) -> int:
-    try:
-        return s.carrier.index(x)
-    except ValueError:
-        raise StructureError(f"{x!r} is not in the structure") from None
-
-
 def _code_reader(s: FiniteStructure, base: tuple[str, ...]):
     """Reader of raw code tuples over `base`: carrier position -> code.
 
@@ -591,7 +588,7 @@ def _code_reader(s: FiniteStructure, base: tuple[str, ...]):
     tables; `extension_code` and `point_codes` both go through it.
     """
     t, c = s.table, s.carrier
-    cols = tuple((b, _position(s, b)) for b in base)
+    cols = tuple((b, s.index(b)) for b in base)
     tag = s.class_tag
     if tag == GRAPH:
         return lambda z: tuple(b for b, i in cols if t[z][i])
@@ -612,7 +609,7 @@ def extension_code(s: FiniteStructure, base: tuple[str, ...], z: str) -> Extensi
     """
     if z in base:
         raise StructureError(f"{z!r} lies in the base")
-    return ExtensionCode(s.class_tag, tuple(base), _code_reader(s, base)(_position(s, z)))
+    return ExtensionCode(s.class_tag, tuple(base), _code_reader(s, base)(s.index(z)))
 
 
 def point_codes(s: FiniteStructure, base: tuple[str, ...]) -> list[tuple]:

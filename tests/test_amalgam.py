@@ -6,11 +6,15 @@ from fractions import Fraction
 import pytest
 
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, AmalgamPair,
-                           ExtensionCode, RootedMultiAmalgam, Span,
+                           CatalogParams, ExtensionCode,
+                           InternalConsistencyError, RootedMultiAmalgam, Span,
                            StructureError, all_structures, amalgamated_sum,
-                           apply_code, enumerate_codes, enumerate_homs,
-                           free_sum, induced_substructure, is_embedding,
-                           morphism_from_dict, validate)
+                           apply_code, enumerate_codes, enumerate_extensions,
+                           enumerate_homs, free_amalgam, free_sum,
+                           induced_substructure, is_embedding,
+                           morphism_from_dict, star_amalgam, validate)
+from fraisse_forge import amalgam
+from fraisse_forge.meetglue import SizeCeilingExceeded
 from fraisse_forge.presets import (antichain, edgeless_graph,
                                    free_semilattice, semilattice_from_meets,
                                    simplex)
@@ -111,6 +115,38 @@ class TestMaps:
                 assert leg.mapping == leg.source.carrier
             checked += 1
         assert checked > 0
+
+
+class TestSizeCeiling:
+    @pytest.mark.parametrize("hub,code", [
+        (edgeless_graph(2), ()),
+        (antichain(2), ((), ())),
+        (simplex(2, 1), (Fraction(1), Fraction(1)))],
+        ids=[GRAPH, POSET, METRIC])
+    def test_refused_at_the_exact_size(self, hub, code):
+        ext = apply_code(hub, ExtensionCode(hub.class_tag, hub.carrier, code), "x")
+        spokes = [(ext, hub.carrier + (x,)) for x in ("a", "b", "c")]
+        with pytest.raises(SizeCeilingExceeded) as e:
+            free_amalgam(hub, spokes, max_elements=4)
+        assert (e.value.ceiling, e.value.reached) == (4, 5)
+        assert free_amalgam(hub, spokes, max_elements=5)[0].size == 5
+
+    def test_glue_refusal_is_a_structure_error(self):
+        cat = enumerate_extensions(free_semilattice(2), CatalogParams(2))
+        with pytest.raises(StructureError, match="exceeds 100 elements"):
+            free_sum(star_amalgam(cat), max_elements=100)
+
+
+class TestArmWitness:
+    def test_arm_that_does_not_embed_is_named(self, monkeypatch):
+        root = edgeless_graph(2)
+        ma = RootedMultiAmalgam(root, (
+            AmalgamPair(("v0",), ExtensionCode(GRAPH, ("v0",), ("v0",)), "x"),
+            AmalgamPair(("v1",), ExtensionCode(GRAPH, ("v1",), ()), "y")))
+        monkeypatch.setattr(amalgam, "is_embedding",
+                            lambda m: m.source.carrier[-1] != "y")
+        with pytest.raises(InternalConsistencyError, match="arm 1 \\(new id 'y'\\)"):
+            free_sum(ma)
 
 
 class TestCoherence:

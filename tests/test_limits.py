@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, Catalog,
-                           CatalogParams, StageCeilingExceeded,
-                           StructureError, apply_code, build_stages,
-                           build_star, check_graph_extension_property,
+                           CatalogParams, InternalConsistencyError,
+                           StageCeilingExceeded, StructureError, apply_code,
+                           build_stages, build_star,
+                           check_graph_extension_property,
                            check_weak_homogeneity, enumerate_codes,
                            enumerate_extensions, induced_substructure,
                            is_embedding, morphism_from_dict, validate)
+from fraisse_forge import limits
 from fraisse_forge.limits import STAGE_CEILING_ENV, stage_ceiling
 from fraisse_forge.presets import (antichain, edgeless_graph,
                                    free_semilattice, simplex)
@@ -55,8 +57,20 @@ class TestCatalog:
 
     def test_invalid_root_rejected(self):
         bad = FiniteStructure(GRAPH, ("a",), ((True,),))
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"self-loop at \('a',\)"):
             enumerate_extensions(bad, CatalogParams(1))
+
+    def test_repeated_entry_named(self, monkeypatch):
+        real = limits.enumerate_codes
+
+        def repeat_second(tag, base, grid=None):
+            codes = real(tag, base, grid=grid)
+            return codes if base is None else codes + codes[1:2]
+
+        monkeypatch.setattr(limits, "enumerate_codes", repeat_second)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"entry: base \('v0',\), code \('v0',\)"):
+            enumerate_extensions(edgeless_graph(1), CatalogParams(1))
 
     def test_deterministic(self):
         a = enumerate_extensions(antichain(3), CatalogParams(2))
@@ -191,6 +205,13 @@ class TestGraphExtensionProperty:
         chain = build_stages(edgeless_graph(2), 1, CatalogParams(2))
         with pytest.raises(StructureError):
             check_graph_extension_property(chain, ("v0",), ("v0",))
+
+    @pytest.mark.parametrize("u", ["zz", "x0"])  # x0 is new in stage 1
+    def test_vertex_outside_the_stage_named(self, u):
+        chain = build_stages(edgeless_graph(2), 1, CatalogParams(2))
+        assert u == "zz" or u in chain.stages[1].carrier
+        with pytest.raises(StructureError, match=repr(u)):
+            check_graph_extension_property(chain, (u,), ())
 
     def test_graphs_only(self):
         chain = build_stages(antichain(2), 1, CatalogParams(2))

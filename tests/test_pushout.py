@@ -8,14 +8,15 @@ import pytest
 
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE,
                            ExtensionCode, FiniteStructure,
-                           InternalConsistencyError, Span, StructureError,
+                           InternalConsistencyError, PushoutSquare, Span,
+                           StructureError,
                            ValidationReport, all_structures, amalgamated_sum,
                            apply_code, classify, congruence_generated,
                            enumerate_codes, enumerate_homs,
                            identity_morphism, is_embedding, is_surjection,
                            morphism_from_dict, pushout_1phep, quotient,
                            validate, verify_universal_property)
-from fraisse_forge import pushout
+from fraisse_forge import pushout, structures
 from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    free_semilattice, graph_from_edges,
                                    metric_from_distances, poset_from_pairs,
@@ -165,7 +166,6 @@ class TestOracle:
         sq = pushout_1phep(Span(incl, identity_morphism(b)))
         # bogus object: add one extra isolated vertex and embed the legs
         bogus_obj = edgeless_graph(3)
-        from fraisse_forge import PushoutSquare
         bogus = PushoutSquare(
             sq.span, bogus_obj,
             morphism_from_dict(c, bogus_obj, {"v0": "v0", "x": "v1"}),
@@ -354,14 +354,92 @@ class TestAmalgamatedSum:
             seen.append(s)
             return validate(s)
 
-        monkeypatch.setattr(pushout, "validate", spy)
+        monkeypatch.setattr(structures, "validate", spy)
         sq = amalgamated_sum(Span(leg, leg))
         assert len(sq.object.carrier) > 64
         assert any(s is sq.object for s in seen)
-        monkeypatch.setattr(pushout, "validate", lambda s: ValidationReport(
+        monkeypatch.setattr(structures, "validate", lambda s: ValidationReport(
             len(s.carrier) <= 64, "probe", (s.carrier[0],)))
         with pytest.raises(InternalConsistencyError, match="probe"):
             amalgamated_sum(Span(leg, leg))
+
+
+class TestPushoutWitnesses:
+    """Internal-consistency failures of the pushouts name their witness."""
+
+    def test_square_that_does_not_commute_names_the_apex_point(self):
+        b = edgeless_graph(2)
+        span = Span(identity_morphism(b), identity_morphism(b))
+        swap = morphism_from_dict(b, b, {"v0": "v1", "v1": "v0"})
+        with pytest.raises(InternalConsistencyError,
+                           match="does not commute at 'v0'"):
+            PushoutSquare(span, b, swap, identity_morphism(b), witness={})
+
+    @staticmethod
+    def poset_span(monkeypatch, b, code, bp, images):
+        """A span whose right leg `images` is no hom, let through the checks."""
+        incl, c = embed_into_code_extension(b, ExtensionCode(POSET, b.carrier, code))
+        monkeypatch.setattr(pushout, "is_surjection", lambda m: True)
+        return Span(incl, Morphism(b, bp, images))
+
+    def test_collapse_point_not_unique_names_the_shared_points(self, monkeypatch):
+        # x sits between {a, b} and {c, d}; the right leg folds both pairs
+        b = poset_from_pairs("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+        span = self.poset_span(monkeypatch, b, (("a", "b"), ("c", "d")),
+                               antichain(2), ("v0", "v1", "v0", "v1"))
+        with pytest.raises(InternalConsistencyError,
+                           match=r"not unique: \['v0', 'v1'\]"):
+            pushout_1phep(span)
+
+    def test_insertion_breaking_antisymmetry_names_the_points(self, monkeypatch):
+        # x sits between v0 < v1, and the right leg reverses the chain
+        b = chain(2)
+        span = self.poset_span(monkeypatch, b, (("v0",), ("v1",)),
+                               chain(2), ("v1", "v0"))
+        with pytest.raises(InternalConsistencyError,
+                           match=r"antisymmetry at \['v0', 'v1'\]"):
+            pushout_1phep(span)
+
+    @staticmethod
+    def corrupt_morphisms(monkeypatch, source, positions):
+        """Make `pushout._morphism` build every map out of `source`, except
+        the identity, with the given positions."""
+        real = pushout._morphism
+
+        def corrupt(s, t, p):
+            return real(s, t, positions if s is source and t is not s else p)
+
+        monkeypatch.setattr(pushout, "_morphism", corrupt)
+
+    def test_1phep_left_leg_names_kind_and_violation(self, monkeypatch):
+        b = edgeless_graph(1)
+        incl, c = embed_into_code_extension(b, ExtensionCode(GRAPH, b.carrier, ("v0",)))
+        self.corrupt_morphisms(monkeypatch, c, (0, 0))  # x onto its neighbour
+        with pytest.raises(InternalConsistencyError) as e:
+            pushout_1phep(Span(incl, identity_morphism(b)))
+        assert "left leg" in str(e.value)
+        assert "'not-hom', hom violation at ('v0', 'x')" in str(e.value)
+
+    def test_1phep_right_leg_names_kind_and_violation(self, monkeypatch):
+        b = edgeless_graph(2)
+        incl, c = embed_into_code_extension(b, ExtensionCode(GRAPH, b.carrier, ("v0",)))
+        self.corrupt_morphisms(monkeypatch, b, (0, 2))  # v1 onto x*, beside v0
+        with pytest.raises(InternalConsistencyError) as e:
+            pushout_1phep(Span(incl, identity_morphism(b)))
+        assert "right leg" in str(e.value)
+        assert "'hom', hom violation at None" in str(e.value)
+
+    def test_amalgamated_sum_leg_names_kind_and_violation(self, monkeypatch):
+        b = edgeless_graph(1)
+        y = graph_from_edges(("v0", "p"), [("v0", "p")])
+        z = graph_from_edges(("v0", "q"), [])
+        span = Span(morphism_from_dict(b, y, {"v0": "v0"}),
+                    morphism_from_dict(b, z, {"v0": "v0"}))
+        self.corrupt_morphisms(monkeypatch, y, (0, 1))  # p onto q
+        with pytest.raises(InternalConsistencyError) as e:
+            amalgamated_sum(span)
+        assert "left leg" in str(e.value)
+        assert "'not-hom', hom violation at ('v0', 'p')" in str(e.value)
 
 
 class TestAllStructures:

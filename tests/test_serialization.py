@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse_forge import StructureError, validate
+from fraisse_forge import CLASS_TAGS, StructureError, validate
 from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    free_semilattice, graph_from_edges,
                                    semilattice_from_meets, simplex)
@@ -59,7 +59,7 @@ class TestBadDocuments:
             from_document({"class": "graph", "carrier": ["a"]})
 
     def test_duplicate_carrier(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"duplicate carrier ids at \('a',\)"):
             from_document({"class": "graph", "carrier": ["a", "a"], "table": []})
 
     def test_graph_loop(self):
@@ -72,13 +72,14 @@ class TestBadDocuments:
                            "table": [[0, 7]]})
 
     def test_semilattice_missing_meet(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match=r"out of range at \('a', 'b'\)"):
             from_document({"class": "semilattice", "carrier": ["a", "b"],
                            "table": []})
 
     def test_invalid_decoded_structure(self):
         # antisymmetry violation: a <= b and b <= a with a != b
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError,
+                           match=r"order not antisymmetric at \('a', 'b'\)"):
             from_document({"class": "poset", "carrier": ["a", "b"],
                            "table": [[0, 1], [1, 0]]})
 
@@ -101,7 +102,8 @@ class TestBadDocuments:
             loads("{")
 
     def test_metric_triangle_violation(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError,
+                           match=r"triangle inequality violated at \('b', 'a', 'c'\)"):
             from_document({"class": "metric", "carrier": ["a", "b", "c"],
                            "table": [[0, 1, "1"], [0, 2, "1"], [1, 2, "5"]]})
 
@@ -112,12 +114,13 @@ DISTANCES = ("0", "1", "2", "3", "1/2", "2/4", "5/2", "-1", "0.5", "1e0", " 1")
 
 @st.composite
 def mutated_documents(draw):
-    """The canonical text of a sample's document after a few row edits."""
+    """The canonical text of a sample's document after a few row edits and
+    edits of the document around the table."""
     s = draw(st.sampled_from(FUZZ_SAMPLES))
     rows = [list(row) for row in to_document(s)["table"]]
     n = len(s.carrier)
     index = st.integers(0, n)  # n itself is out of range
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(
             ("flip", "swap", "drop", "duplicate", "entry", "distance")))
         if edit == "flip" and s.class_tag in ("graph", "poset"):
@@ -140,6 +143,18 @@ def mutated_documents(draw):
             else:
                 rows[k][2] = draw(st.sampled_from(DISTANCES))
     doc = {"class": s.class_tag, "carrier": list(s.carrier), "table": rows}
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("repeat-id", "non-string-id", "extra-key",
+                                     "swap-class")))
+        k = draw(st.integers(0, n - 1))
+        if edit == "repeat-id":
+            doc["carrier"][k] = doc["carrier"][draw(st.integers(0, n - 1))]
+        elif edit == "non-string-id":
+            doc["carrier"][k] = draw(st.sampled_from((k, None, ["v0"])))
+        elif edit == "extra-key":
+            doc[draw(st.sampled_from(("name", "Class", "")))] = "x"
+        else:
+            doc["class"] = draw(st.sampled_from(CLASS_TAGS))
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 

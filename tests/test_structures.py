@@ -20,7 +20,7 @@ from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    free_semilattice, graph_from_edges,
                                    metric_from_distances, poset_from_pairs,
                                    semilattice_from_meets, simplex)
-from fraisse_forge.pushout import all_structures
+from fraisse_forge.pushout import all_structures, congruence_generated
 from fraisse_forge.structures import (enumerate_isomorphisms_over_base,
                                       fresh_ids, meet_closed_subsets)
 from helpers import rebased
@@ -106,9 +106,9 @@ class TestValidate:
                     validate(mutant)  # must classify, never crash
 
     def test_duplicate_carrier_rejected(self):
-        s = FiniteStructure(GRAPH, ("a", "a"),
-                            ((False, False), (False, False)))
-        assert not validate(s).ok
+        s = FiniteStructure(GRAPH, ("b", "a", "a"), ((False,) * 3,) * 3)
+        rep = validate(s)
+        assert not rep.ok and rep.witness == ("a",)
 
 
 class TestMorphisms:
@@ -260,6 +260,22 @@ class TestSubstructures:
         # independent count: 3 singletons plus the two 2-chains through the meet
         assert len(subs) == 5
         assert ("g0", "g1") not in subs
+
+
+class TestForeignIds:
+    """Every operation that takes ids looks them up with
+    `FiniteStructure.index`, whose refusal names the foreign id."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s: congruence_generated(s, [("g0", "zz")]),
+        lambda s: induced_substructure(s, ("g0", "zz")),
+        lambda s: generate(s, ("zz",)),
+        lambda s: identity_morphism(s)("zz"),
+    ], ids=["congruence_generated", "induced_substructure", "generate",
+            "morphism-call"])
+    def test_foreign_id_named(self, call):
+        with pytest.raises(StructureError, match="'zz'"):
+            call(free_semilattice(2))
 
 
 class TestEnumerateHoms:

@@ -13,11 +13,9 @@ from .presets import antichain, edgeless_graph, free_semilattice, \
 from .pushout import Span, pushout_1phep
 from .structures import (GRAPH, METRIC, POSET, SEMILATTICE, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
-                         _hom_violation, _morphism, apply_code,
-                         enumerate_codes, enumerate_homs,
-                         enumerate_isomorphisms_over_base, extension_code,
-                         identity_morphism, induced_substructure,
-                         is_embedding, is_homomorphism)
+                         _hom_violation, _morphism, enumerate_codes,
+                         enumerate_homs, extension_code, identity_morphism,
+                         induced_substructure, is_embedding, is_homomorphism)
 
 
 @dataclass(frozen=True)
@@ -103,12 +101,6 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
                 raise StructureError(
                     f"catalog has no entry for the transported extension type "
                     f"over base {img}; enlarge the catalog params")
-            cj = apply_code(bj, catalog.entries[j][1], star.new_ids[j])
-            isos = enumerate_isomorphisms_over_base(q, cj, img)
-            if len(isos) != 1:
-                raise InternalConsistencyError(
-                    f"{len(isos)} base-fixing isomorphisms onto the catalog "
-                    f"representative; expected exactly one")
             into_star[new] = fresh[j]
             target = j
         iota = _morphism(p, obj, tuple(into_star))

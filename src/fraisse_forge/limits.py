@@ -175,8 +175,7 @@ class HomogeneityReport:
         return self.passed
 
 
-def check_weak_homogeneity(chain: StageChain, stage: int = 0,
-                           params: CatalogParams | None = None) -> HomogeneityReport:
+def check_weak_homogeneity(chain: StageChain, stage: int = 0) -> HomogeneityReport:
     """Every catalog one-point extension of every F_stage substructure must be
     realized in F_{stage+1} by a point over the pointwise-fixed base.
 
@@ -186,10 +185,9 @@ def check_weak_homogeneity(chain: StageChain, stage: int = 0,
     """
     if stage + 1 >= len(chain.stages):
         raise StructureError("chain has no stage after the requested one")
-    params = params or chain.params
     small = chain.stages[stage]
     big = chain.stages[stage + 1]
-    cat = enumerate_extensions(small, params)
+    cat = enumerate_extensions(small, chain.params)
     realized: dict[tuple[str, ...], set] = {}
     misses = []
     for base_carrier, code in cat.entries:

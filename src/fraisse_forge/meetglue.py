@@ -1,9 +1,9 @@
 """Gluing semilattices along shared subalgebras.
 
 The glued object is computed in exact normal form: every element corresponds to
-a *closed up-set* of the ground poset (the union of the component carriers with
+a *closed up-set* of the ground poset (the union of the spoke carriers with
 the transitive closure of their orders).  A set of ground elements is closed if
-it is upward closed and closed under meets taken inside any single component.
+it is upward closed and closed under meets taken inside any single spoke.
 The meet of two elements is the closure of the union of their up-sets; the
 canonical name of an element is the antichain of minimal ground elements of its
 up-set.  Up-sets are represented as bitmasks over the ground.
@@ -15,22 +15,6 @@ from dataclasses import dataclass
 
 from .structures import (SEMILATTICE, FiniteStructure, InternalConsistencyError,
                          StructureError)
-
-
-@dataclass(frozen=True)
-class GlueComponent:
-    """One semilattice participating in a glue, with carrier ids renamed to ground ids."""
-
-    ids: tuple[str, ...]
-    meet: tuple[tuple[int, ...], ...]  # component-local meet table
-
-    @staticmethod
-    def from_structure(s: FiniteStructure, ids: tuple[str, ...] | None = None
-                       ) -> "GlueComponent":
-        """`ids[i]` is the ground id of carrier element i (default: its own id)."""
-        if s.class_tag != SEMILATTICE:
-            raise InternalConsistencyError("glue components must be semilattices")
-        return GlueComponent(tuple(s.carrier if ids is None else ids), s.table)
 
 
 class SizeCeilingExceeded(StructureError):
@@ -48,60 +32,56 @@ class GlueResult:
     parts: dict[str, tuple[str, ...]]
 
 
-def glue(components: list[GlueComponent], ground_order: list[str],
-         max_elements: int | None = None) -> GlueResult:
-    """Free meet-semilattice generated by the components over the glued ground.
+def _members(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
 
-    `ground_order` fixes the carrier position of the ground elements; composite
-    elements follow, sorted by their canonical id.
+
+def glue(spokes: list[tuple[FiniteStructure, tuple[str, ...]]],
+         ground_order: list[str], max_elements: int | None = None) -> GlueResult:
+    """Free meet-semilattice generated by the spokes over the glued ground.
+
+    Each spoke is `(structure, ids)`, a semilattice whose element i is the
+    ground element `ids[i]`; `free_amalgam` passes its hub first, as
+    `(hub, hub.carrier)`.  `ground_order` fixes the carrier position of the
+    ground elements; composite elements follow, sorted by their canonical id.
+    The enumeration records the meet of each pair of elements when it closes
+    that pair, and the meet table is filled once from those records.
     """
     n = len(ground_order)
     pos = {g: i for i, g in enumerate(ground_order)}
     if len(pos) != n:
         raise InternalConsistencyError("ground ids are not distinct")
 
-    # Ground partial order: union of component orders, transitively closed.
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    comp_meet: list[dict[tuple[int, int], int]] = []
-    comp_bits: list[int] = []
-    for comp in components:
-        gi = [pos[g] for g in comp.ids]
-        table = {}
-        bits = 0
-        for a in gi:
-            bits |= 1 << a
+    # Ground order as up-set bitmasks: union of the spoke orders, then
+    # transitively closed (Warshall's rule on bitmasks).
+    up = [1 << i for i in range(n)]
+    spoke_meets: list[tuple[int, dict[tuple[int, int], int]]] = []
+    for s, ids in spokes:
+        gi = [pos[g] for g in ids]
+        meets = {}
         for i, a in enumerate(gi):
             for j, b in enumerate(gi):
-                w = gi[comp.meet[i][j]]
-                table[(a, b)] = w
+                w = meets[(a, b)] = gi[s.table[i][j]]
                 if w == a:
-                    leq[a][b] = True
-        comp_meet.append(table)
-        comp_bits.append(bits)
+                    up[a] |= 1 << b
+        spoke_meets.append((sum(1 << a for a in set(gi)), meets))
     for k in range(n):
-        lk = leq[k]
+        bit, above = 1 << k, up[k]
         for i in range(n):
-            if leq[i][k]:
-                li = leq[i]
-                for j in range(n):
-                    if lk[j]:
-                        li[j] = True
+            if up[i] & bit:
+                up[i] |= above
     for i in range(n):
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
+        for j in _members(up[i] & ~((2 << i) - 1)):  # every j > i above i
+            if (up[j] >> i) & 1:
                 raise InternalConsistencyError(
                     f"glued ground order not antisymmetric at "
                     f"({ground_order[i]}, {ground_order[j]})")
-
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                up[i] |= 1 << j
-
-    comp_pairs = []
-    for bits, table in zip(comp_bits, comp_meet):
-        comp_pairs.append((bits, table))
 
     closure_cache: dict[int, int] = {}
 
@@ -110,78 +90,72 @@ def glue(components: list[GlueComponent], ground_order: list[str],
         if cached is not None:
             return cached
         m = 0
-        mm = mask
-        while mm:
-            b = mm & -mm
-            m |= up[b.bit_length() - 1]
-            mm ^= b
+        for g in _members(mask):
+            m |= up[g]
         changed = True
         while changed:
             changed = False
-            for bits, table in comp_pairs:
-                sel = m & bits
-                members = []
-                mm = sel
-                while mm:
-                    b = mm & -mm
-                    members.append(b.bit_length() - 1)
-                    mm ^= b
+            for bits, meets in spoke_meets:
+                members = _members(m & bits)
                 for ai in range(len(members)):
                     for bi in range(ai + 1, len(members)):
-                        w = table[(members[ai], members[bi])]
+                        w = meets[(members[ai], members[bi])]
                         if not (m >> w) & 1:
                             m |= up[w]
                             changed = True
         closure_cache[mask] = m
         return m
 
-    # Enumerate all elements: singleton closures, then close under pairwise meets.
-    elems: list[int] = []
-    index_of: dict[int, int] = {}
-    for i in range(n):
-        m = close(1 << i)
-        if m in index_of:
-            raise InternalConsistencyError("distinct ground elements collapsed")
-        index_of[m] = len(elems)
-        elems.append(m)
+    # Enumerate all elements: singleton closures, then close under pairwise
+    # meets.  `low[i][j]` is the element index of the meet of elements i and
+    # j for j <= i.
+    elems = [close(1 << i) for i in range(n)]
+    index_of = {m: i for i, m in enumerate(elems)}
+    if len(index_of) != n:
+        raise InternalConsistencyError("distinct ground elements collapsed")
+    low: list[list[int]] = []
     i = 0
     while i < len(elems):
+        row = []
         for j in range(i):
             m = close(elems[i] | elems[j])
-            if m not in index_of:
+            k = index_of.get(m)
+            if k is None:
                 if max_elements is not None and len(elems) >= max_elements:
                     raise SizeCeilingExceeded(max_elements, len(elems) + 1)
-                index_of[m] = len(elems)
+                k = index_of[m] = len(elems)
                 elems.append(m)
+            row.append(k)
+        row.append(i)
+        low.append(row)
         i += 1
+    closure_cache.clear()  # dead from here on; freed before the table is built
 
-    def minimal_antichain(mask: int) -> tuple[int, ...]:
-        members = []
-        mm = mask
-        while mm:
-            b = mm & -mm
-            members.append(b.bit_length() - 1)
-            mm ^= b
-        return tuple(g for g in members
-                     if not any(h != g and leq[h][g] for h in members))
+    def minimal_antichain(mask: int) -> list[int]:
+        above = 0
+        for g in _members(mask):
+            above |= up[g] & ~(1 << g)
+        return _members(mask & ~above)
 
-    def name(mask: int) -> str:
-        anti = minimal_antichain(mask)
-        if len(anti) == 1:
-            return ground_order[anti[0]]
-        return "(" + "^".join(sorted(ground_order[g] for g in anti)) + ")"
-
-    names = {m: name(m) for m in elems}
-    ground_masks = [close(1 << i) for i in range(n)]
-    composite = sorted((m for m in elems if m not in set(ground_masks)),
-                       key=lambda m: names[m])
-    ordered = ground_masks + composite
-    carrier = tuple(names[m] for m in ordered)
+    antichains = [minimal_antichain(m) for m in elems]
+    names = [ground_order[a[0]] if len(a) == 1 else
+             "(" + "^".join(sorted(ground_order[g] for g in a)) + ")"
+             for a in antichains]
+    order = list(range(n)) + sorted(range(n, len(elems)), key=names.__getitem__)
+    carrier = tuple(names[e] for e in order)
     if len(set(carrier)) != len(carrier):
         raise InternalConsistencyError("canonical element names collide")
-    slot = {m: i for i, m in enumerate(ordered)}
-    table = tuple(tuple(slot[close(a | b)] for b in ordered) for a in ordered)
-    structure = FiniteStructure(SEMILATTICE, carrier, table)
-    parts = {names[m]: tuple(ground_order[g] for g in minimal_antichain(m))
-             for m in ordered}
+    rank = [0] * len(elems)
+    for p, e in enumerate(order):
+        rank[e] = p
+
+    # Rows in element order, so that each row of `low` is freed once read
+    # for the last time and the table never sits next to all of `low`.
+    rows = []
+    for e in range(len(elems)):
+        full = low[e] + [low[f][e] for f in range(e + 1, len(elems))]
+        low[e] = []
+        rows.append(tuple([rank[full[f]] for f in order]))
+    structure = FiniteStructure(SEMILATTICE, carrier, tuple([rows[e] for e in order]))
+    parts = {names[e]: tuple(ground_order[g] for g in antichains[e]) for e in order}
     return GlueResult(structure, parts)

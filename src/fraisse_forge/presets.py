@@ -9,9 +9,20 @@ from .structures import (GRAPH, METRIC, POSET, SEMILATTICE, FiniteStructure,
                          StructureError)
 
 
+class _Positions(dict):
+    """Carrier position of each id; a foreign id is refused with the message
+    of `FiniteStructure.index`."""
+
+    def __init__(self, carrier: tuple[str, ...]):
+        super().__init__((x, i) for i, x in enumerate(carrier))
+
+    def __missing__(self, x):
+        raise StructureError(f"{x!r} is not in the structure")
+
+
 def graph_from_edges(carrier, edges) -> FiniteStructure:
     carrier = tuple(carrier)
-    idx = {x: i for i, x in enumerate(carrier)}
+    idx = _Positions(carrier)
     adj = [[False] * len(carrier) for _ in carrier]
     for u, v in edges:
         adj[idx[u]][idx[v]] = adj[idx[v]][idx[u]] = True
@@ -21,7 +32,7 @@ def graph_from_edges(carrier, edges) -> FiniteStructure:
 def poset_from_pairs(carrier, pairs, transitive_close: bool = False) -> FiniteStructure:
     """Build a poset from <=-pairs; reflexivity is added automatically."""
     carrier = tuple(carrier)
-    idx = {x: i for i, x in enumerate(carrier)}
+    idx = _Positions(carrier)
     n = len(carrier)
     leq = [[i == j for j in range(n)] for i in range(n)]
     for u, v in pairs:
@@ -39,7 +50,7 @@ def poset_from_pairs(carrier, pairs, transitive_close: bool = False) -> FiniteSt
 def metric_from_distances(carrier, dist) -> FiniteStructure:
     """`dist` maps unordered pairs (u, v) to distances (coerced to Fraction)."""
     carrier = tuple(carrier)
-    idx = {x: i for i, x in enumerate(carrier)}
+    idx = _Positions(carrier)
     n = len(carrier)
     t = [[Fraction(0)] * n for _ in range(n)]
     for (u, v), d in dist.items():
@@ -50,7 +61,7 @@ def metric_from_distances(carrier, dist) -> FiniteStructure:
 def semilattice_from_meets(carrier, meets) -> FiniteStructure:
     """`meets` maps unordered pairs of distinct ids to their meet id."""
     carrier = tuple(carrier)
-    idx = {x: i for i, x in enumerate(carrier)}
+    idx = _Positions(carrier)
     n = len(carrier)
     t = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -209,9 +209,8 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
         # For semilattices the ground carrier only bounds the glued size below.
         raise meetglue.SizeCeilingExceeded(max_elements, m)
     if tag == SEMILATTICE:
-        comps = [meetglue.GlueComponent.from_structure(hub)] + [
-            meetglue.GlueComponent.from_structure(s, ids) for s, ids in spokes]
-        glued = meetglue.glue(comps, carrier, max_elements=max_elements)
+        glued = meetglue.glue([(hub, hub.carrier), *spokes], carrier,
+                              max_elements=max_elements)
         return glued.structure, glued.parts, [arm[1] for arm in arms]
     zero = Fraction(0) if tag == METRIC else False
     t = [list(row) + [zero] * (m - n) for row in hub.table] + \

@@ -158,6 +158,23 @@ class TestLiftWitnesses:
         assert all(repr(b) in msg for b in cat.entries[i][0])
         assert repr(star.new_ids[i]) in msg
 
+    def test_wrong_catalog_match_names_the_entry(self, monkeypatch):
+        # the code lookup lands on another entry over the same base: the
+        # component embedding check refuses it
+        root = edgeless_graph(2)
+        star, cat = star_of(root, CatalogParams(1))
+        real = lifting.extension_code
+
+        def other(s, base, z):
+            code = real(s, base, z)
+            return next(c for b, c in cat.entries if b == base and c != code)
+
+        monkeypatch.setattr(lifting, "extension_code", other)
+        with pytest.raises(InternalConsistencyError) as e:
+            lift(identity_morphism(root), star, cat)
+        i = next(k for k, (base, _) in enumerate(cat.entries) if base)
+        assert f"catalog entry {i} " in str(e.value)
+
 
 class TestFunctoriality:
     @pytest.mark.parametrize("root,params", [

@@ -263,8 +263,8 @@ class TestSubstructures:
 
 
 class TestForeignIds:
-    """Every operation that takes ids looks them up with
-    `FiniteStructure.index`, whose refusal names the foreign id."""
+    """Every operation that takes ids refuses a foreign one as
+    `FiniteStructure.index` does, naming the id."""
 
     @pytest.mark.parametrize("call", [
         lambda s: congruence_generated(s, [("g0", "zz")]),
@@ -276,6 +276,17 @@ class TestForeignIds:
     def test_foreign_id_named(self, call):
         with pytest.raises(StructureError, match="'zz'"):
             call(free_semilattice(2))
+
+    @pytest.mark.parametrize("build", [
+        lambda: graph_from_edges("ab", [("a", "zz")]),
+        lambda: poset_from_pairs("ab", [("zz", "a")]),
+        lambda: metric_from_distances("ab", {("a", "zz"): 1}),
+        lambda: semilattice_from_meets("ab", {("a", "b"): "zz"}),
+    ], ids=["graph_from_edges", "poset_from_pairs", "metric_from_distances",
+            "semilattice_from_meets"])
+    def test_preset_builder_names_foreign_id(self, build):
+        with pytest.raises(StructureError, match="^'zz' is not in the structure$"):
+            build()
 
 
 class TestEnumerateHoms:

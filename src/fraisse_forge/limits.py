@@ -115,11 +115,22 @@ def star_amalgam(catalog: Catalog) -> RootedMultiAmalgam:
     return RootedMultiAmalgam(catalog.root, pairs)
 
 
+def _star(catalog: Catalog, stage: int, ceiling: int) -> FreeSum:
+    """The star over `catalog` as stage `stage`, refused past `ceiling`."""
+    try:
+        return free_sum(star_amalgam(catalog), max_elements=ceiling)
+    except SizeCeilingExceeded as e:
+        raise StageCeilingExceeded(stage, e.reached, ceiling) from e
+
+
 def build_star(root: FiniteStructure, catalog: Catalog) -> FreeSum:
-    """A★: the free sum of the root with one arm per catalog entry."""
+    """A★: the free sum of the root with one arm per catalog entry.
+
+    Refused, as stage 1, past the stage ceiling that `build_stages` applies.
+    """
     if catalog.root != root:
         raise StructureError("catalog was built for a different root")
-    return free_sum(star_amalgam(catalog))
+    return _star(catalog, 1, stage_ceiling())
 
 
 @dataclass(frozen=True)
@@ -153,10 +164,7 @@ def build_stages(root: FiniteStructure, k: int, params: CatalogParams,
     stars: list[FreeSum] = []
     for n in range(k):
         cat = enumerate_extensions(stages[-1], params)
-        try:
-            fs = free_sum(star_amalgam(cat), max_elements=ceiling)
-        except SizeCeilingExceeded as e:
-            raise StageCeilingExceeded(n + 1, e.reached, ceiling) from e
+        fs = _star(cat, n + 1, ceiling)
         stages.append(fs.object)
         inclusions.append(fs.root_embedding)
         catalogs.append(cat)

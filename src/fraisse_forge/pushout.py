@@ -3,7 +3,9 @@ congruences, and the brute-force universal-property oracle."""
 
 from __future__ import annotations
 
+import collections
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
@@ -400,7 +402,8 @@ class OracleReport:
 
 def _forced_mediating(sq: PushoutSquare, j1: Morphism, j2: Morphism) -> Morphism | None:
     """The unique candidate u with u.left_leg = j1, u.right_leg = j2, if the
-    legs cover the pushout carrier; None if some value stays unforced."""
+    legs cover the pushout carrier; None if some value stays unforced or the
+    legs disagree.  It only names a failed cocone."""
     values: list[int | None] = [None] * len(sq.object.carrier)
     for leg, j in ((sq.left_leg, j1), (sq.right_leg, j2)):
         for p, want in zip(leg.positions, j.positions):
@@ -420,19 +423,31 @@ def _homs_cached(x: FiniteStructure, y: FiniteStructure,
     return tuple(enumerate_homs(x, y, bound_bits))
 
 
+def _picker(idx):
+    """The entries of a tuple at positions `idx`, as a tuple."""
+    if len(idx) > 1:
+        return operator.itemgetter(*idx)
+    # itemgetter of a single position returns the entry, not a tuple
+    return lambda t: tuple([t[i] for i in idx])
+
+
 def verify_universal_property(sq: PushoutSquare, test_objects,
                               bound_bits: int = DEFAULT_HOM_BOUND_BITS) -> OracleReport:
     """Check the pushout's universal property against each test object.
 
     For every commuting cocone (j1, j2) there must exist exactly one mediating
-    morphism u.  Mediating maps are found by direct construction when the legs
-    cover the carrier, and cross-checked (or replaced) by exhaustive
-    enumeration of homomorphisms out of the pushout object.
+    morphism u, found among the enumerated homomorphisms out of the pushout
+    object by its restrictions along the two legs; the count alone decides.
+    Where the legs cover the carrier a mediator is the map they force, so a
+    failure is labelled "forced/enumerated mismatch" when that forced map is
+    a homomorphism, and by its count of mediating morphisms otherwise.
     """
     c = sq.left_leg.source
     bp = sq.right_leg.source
-    left_leg, right_leg = sq.left_leg.positions, sq.right_leg.positions
-    span_left, span_right = sq.span.left.positions, sq.span.right.positions
+    on_left = _picker(sq.left_leg.positions)
+    on_right = _picker(sq.right_leg.positions)
+    apex_of_c = _picker(sq.span.left.positions)
+    apex_of_bp = _picker(sq.span.right.positions)
     cocones = 0
     failures = []
     skipped = []
@@ -446,34 +461,25 @@ def verify_universal_property(sq: PushoutSquare, test_objects,
             skipped.append((q.carrier, str(e)))
             continue
         tested += 1
-        # Index the candidate mediators by their leg restrictions and the
-        # cocone halves by their apex restriction, all as position tuples in
-        # q: the cocone scan is then a pair of dictionary lookups instead of
-        # nested rescans.
-        by_restriction: dict[tuple, list[Morphism]] = {}
-        for u in homs_p:
-            up = u.positions
-            key = (tuple([up[i] for i in left_leg]),
-                   tuple([up[i] for i in right_leg]))
-            by_restriction.setdefault(key, []).append(u)
+        # Count the candidate mediators by their leg restrictions and index
+        # the cocone halves by their apex restriction, all as position tuples
+        # in q: the cocone scan is then a pair of dictionary lookups.
+        mediating = collections.Counter(
+            [(on_left(u.positions), on_right(u.positions)) for u in homs_p])
         bp_by_apex: dict[tuple, list[Morphism]] = {}
         for j2 in homs_bp:
-            jp = j2.positions
-            bp_by_apex.setdefault(tuple([jp[i] for i in span_right]), []).append(j2)
+            bp_by_apex.setdefault(apex_of_bp(j2.positions), []).append(j2)
         for j1 in homs_c:
             jp = j1.positions
-            for j2 in bp_by_apex.get(tuple([jp[i] for i in span_left]), ()):
+            for j2 in bp_by_apex.get(apex_of_c(jp), ()):
                 cocones += 1
-                mediating = by_restriction.get((jp, j2.positions), [])
-                forced = _forced_mediating(sq, j1, j2)
-                if forced is not None and is_homomorphism(forced):
-                    if [forced.positions] != [u.positions for u in mediating]:
-                        failures.append((q.carrier, j1.mapping, j2.mapping,
-                                         "forced/enumerated mismatch"))
-                        continue
-                if len(mediating) != 1:
-                    failures.append((q.carrier, j1.mapping, j2.mapping,
-                                     f"{len(mediating)} mediating morphisms"))
+                count = mediating[jp, j2.positions]
+                if count != 1:
+                    forced = _forced_mediating(sq, j1, j2)
+                    label = ("forced/enumerated mismatch"
+                             if forced is not None and is_homomorphism(forced)
+                             else f"{count} mediating morphisms")
+                    failures.append((q.carrier, j1.mapping, j2.mapping, label))
     return OracleReport(not failures, tested, cocones,
                         tuple(failures), tuple(skipped))
 

@@ -55,6 +55,8 @@ class ValidationReport:
 
 _PASS = ValidationReport(True)
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class FiniteStructure:
@@ -74,6 +76,19 @@ class FiniteStructure:
     def __post_init__(self):
         if self.class_tag not in CLASS_TAGS:
             raise StructureError(f"unknown class tag {self.class_tag!r}")
+
+    def __hash__(self):
+        # Hashed once: the oracle's hom cache looks structures up by value.
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((self.class_tag, self.carrier, self.table)))
+            return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so the cached hash is not
+        # pickled.
+        return FiniteStructure, (self.class_tag, self.carrier, self.table)
 
     @property
     def size(self) -> int:
@@ -327,9 +342,6 @@ class Morphism:
                          tuple([p[i] for i in other.positions]))
 
 
-_set = object.__setattr__
-
-
 def _morphism(source: FiniteStructure, target: FiniteStructure,
               positions: tuple[int, ...]) -> Morphism:
     """A morphism from target positions the caller already holds (unchecked)."""
@@ -491,13 +503,74 @@ def meet_closed_subsets(s: FiniteStructure, max_size: int):
 # Homomorphism enumeration (the oracle backend)
 # ---------------------------------------------------------------------------
 
+def _hom_constraints(x: FiniteStructure, y: FiniteStructure):
+    """What the earlier source positions ask of the image of each position k.
+
+    `unary[k]` holds pairs (i, masks), i < k: the image of k lies in
+    masks[f(i)].  `binary[k]` (semilattices only) holds triples (i, j, masks):
+    it lies in masks[f(i)][f(j)].  Masks are bitmasks over the carrier
+    positions of y.  Each condition of a homomorphism is listed once, at the
+    last position it involves, so a partial map meets all of them among
+    positions 0..k exactly when it meets those listed up to k.
+    """
+    n, m = len(x.carrier), len(y.carrier)
+    xt, yt = x.table, y.table
+    unary: list[list] = [[] for _ in range(n)]
+    binary: list[list] = [[] for _ in range(n)]
+    if n < 2:  # no condition, and no call for the |y|^2 tables
+        return unary, binary
+    bits = _bits(m)
+
+    def rows(t) -> list[int]:
+        return [sum(itertools.compress(bits, row)) for row in t]
+
+    tag = x.class_tag
+    if tag == GRAPH:
+        adjacent = rows(yt)
+        for k in range(n):
+            unary[k] = [(i, adjacent) for i in range(k) if xt[i][k]]
+    elif tag == POSET:
+        up, down = rows(yt), rows(zip(*yt))
+        for k in range(n):
+            unary[k] = [(i, up) for i in range(k) if xt[i][k]] + \
+                [(i, down) for i in range(k) if xt[k][i]]
+    elif tag == METRIC:
+        # one ball {v : d(a, v) <= d} per point a of y and distance d of x
+        balls: dict[Fraction, list[int]] = {}
+        for k in range(n):
+            for i in range(k):
+                d = xt[i][k]
+                if d not in balls:
+                    balls[d] = rows([[e <= d for e in row] for row in yt])
+                unary[k].append((i, balls[d]))
+    else:
+        below = rows([[b == v for v, b in enumerate(row)] for row in yt])  # v <= a
+        solves = [[0] * m for _ in range(m)]  # solves[a][b]: v with a ^ v = b
+        for a, row in enumerate(yt):
+            for v, b in enumerate(row):
+                solves[a][b] |= bits[v]
+        meets = [[bits[b] for b in row] for row in yt]
+        # the equation x_i ^ x_j = x_h, i < j
+        for i in range(n):
+            for j in range(i + 1, n):
+                h = xt[i][j]
+                if h == j:  # x_j <= x_i
+                    unary[j].append((i, below))
+                elif h < j:
+                    binary[j].append((i, h, solves))
+                else:
+                    binary[h].append((i, j, meets))
+    return unary, binary
+
+
 def enumerate_homs(x: FiniteStructure, y: FiniteStructure,
                    bound_bits: int = DEFAULT_HOM_BOUND_BITS) -> list[Morphism]:
     """All homomorphisms x -> y in lexicographic order of their map tables.
 
-    Backtracking over carrier positions; partial assignments are pruned as soon
-    as a constraint among the assigned elements fails.  Refuses (never
-    truncates) if |x| * log2|y| exceeds `bound_bits`.
+    Backtracking over carrier positions: the candidates for each position are
+    the AND of the bitmasks its constraints on earlier positions select,
+    walked lowest bit first.  Refuses (never truncates) if |x| * log2|y|
+    exceeds `bound_bits`.
     """
     if x.class_tag != y.class_tag:
         raise StructureError("class mismatch")
@@ -506,37 +579,26 @@ def enumerate_homs(x: FiniteStructure, y: FiniteStructure,
     if len(y.carrier) > 1 and len(x.carrier) * math.log2(len(y.carrier)) > bound_bits:
         raise BoundExceeded(
             f"{len(y.carrier)}^{len(x.carrier)} exceeds the 2^{bound_bits} bound")
-    n, m = len(x.carrier), len(y.carrier)
-    xt, yt = x.table, y.table
-    tag = x.class_tag
-    assign: list[int] = []
+    n = len(x.carrier)
+    unary, binary = _hom_constraints(x, y)
+    every = (1 << len(y.carrier)) - 1
+    assign = [0] * n
     out: list[Morphism] = []
-
-    def consistent(k: int) -> bool:
-        v = assign[k]
-        if tag == GRAPH:
-            return all(not xt[i][k] or yt[assign[i]][v] for i in range(k))
-        if tag == POSET:
-            return all((not xt[i][k] or yt[assign[i]][v]) and
-                       (not xt[k][i] or yt[v][assign[i]]) for i in range(k))
-        if tag == METRIC:
-            return all(yt[assign[i]][v] <= xt[i][k] for i in range(k))
-        for i in range(k + 1):
-            for j in range(i, k + 1):
-                mij = xt[i][j]
-                if mij <= k and yt[assign[i]][assign[j]] != assign[mij]:
-                    return False
-        return True
 
     def rec(k: int) -> None:
         if k == n:
             out.append(_morphism(x, y, tuple(assign)))
             return
-        for v in range(m):
-            assign.append(v)
-            if consistent(k):
-                rec(k + 1)
-            assign.pop()
+        mask = every
+        for i, masks in unary[k]:
+            mask &= masks[assign[i]]
+        for i, j, masks in binary[k]:
+            mask &= masks[assign[i]][assign[j]]
+        while mask:
+            low = mask & -mask
+            assign[k] = low.bit_length() - 1
+            rec(k + 1)
+            mask ^= low
 
     rec(0)
     return out

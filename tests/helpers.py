@@ -9,7 +9,9 @@ from fraisse_forge import (GRAPH, ISOMORPHISM, METRIC, POSET, SEMILATTICE,
                            RootedMultiAmalgam, Span, StructureError,
                            amalgamated_sum, apply_code, classify,
                            is_embedding, morphism_from_dict)
-from fraisse_forge.structures import _fresh_id
+from fraisse_forge import pushout
+from fraisse_forge.structures import (DEFAULT_HOM_BOUND_BITS, BoundExceeded,
+                                      _fresh_id, _morphism, is_homomorphism)
 
 
 def identity_on_ids(s: FiniteStructure, target: FiniteStructure) -> Morphism:
@@ -147,3 +149,66 @@ def rebased(code: ExtensionCode, base_map: dict[str, str],
         new = tuple(None if code.code[pos[b]] is None else base_map[code.code[pos[b]]]
                     for b in order)
     return ExtensionCode(code.class_tag, tuple(base_map[b] for b in order), new)
+
+
+def _reference_forced(sq, j1: Morphism, j2: Morphism) -> Morphism | None:
+    values = [None] * len(sq.object.carrier)
+    for leg, j in ((sq.left_leg, j1), (sq.right_leg, j2)):
+        for p, want in zip(leg.positions, j.positions):
+            if values[p] is None:
+                values[p] = want
+            elif values[p] != want:
+                return None
+    if None in values:
+        return None
+    return _morphism(sq.object, j1.target, tuple(values))
+
+
+def reference_universal_property(sq, test_objects,
+                                 bound_bits: int = DEFAULT_HOM_BOUND_BITS
+                                 ) -> pushout.OracleReport:
+    """The universal-property oracle that builds and checks the forced
+    mediating map of every cocone and compares it with the enumerated ones.
+
+    `pushout.verify_universal_property` decides each cocone by its count of
+    mediating morphisms instead; the tests require equal reports.  The homs
+    come from `pushout._homs_cached`, looked up on each call, so that a test
+    can replace it for both oracles at once.
+    """
+    c, bp = sq.left_leg.source, sq.right_leg.source
+    left_leg, right_leg = sq.left_leg.positions, sq.right_leg.positions
+    span_left, span_right = sq.span.left.positions, sq.span.right.positions
+    cocones, tested, failures, skipped = 0, 0, [], []
+    for q in test_objects:
+        try:
+            homs_c = pushout._homs_cached(c, q, bound_bits)
+            homs_bp = pushout._homs_cached(bp, q, bound_bits)
+            homs_p = pushout._homs_cached(sq.object, q, bound_bits)
+        except BoundExceeded as e:
+            skipped.append((q.carrier, str(e)))
+            continue
+        tested += 1
+        by_restriction = {}
+        for u in homs_p:
+            key = (tuple(u.positions[i] for i in left_leg),
+                   tuple(u.positions[i] for i in right_leg))
+            by_restriction.setdefault(key, []).append(u)
+        bp_by_apex = {}
+        for j2 in homs_bp:
+            key = tuple(j2.positions[i] for i in span_right)
+            bp_by_apex.setdefault(key, []).append(j2)
+        for j1 in homs_c:
+            for j2 in bp_by_apex.get(tuple(j1.positions[i] for i in span_left), ()):
+                cocones += 1
+                mediating = by_restriction.get((j1.positions, j2.positions), [])
+                forced = _reference_forced(sq, j1, j2)
+                if forced is not None and is_homomorphism(forced):
+                    if [forced.positions] != [u.positions for u in mediating]:
+                        failures.append((q.carrier, j1.mapping, j2.mapping,
+                                         "forced/enumerated mismatch"))
+                        continue
+                if len(mediating) != 1:
+                    failures.append((q.carrier, j1.mapping, j2.mapping,
+                                     f"{len(mediating)} mediating morphisms"))
+    return pushout.OracleReport(not failures, tested, cocones,
+                                tuple(failures), tuple(skipped))

@@ -1,6 +1,7 @@
 """Command-line interface: build, verify, export."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,15 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] and report["endomorphisms"] == 4
+
+    def test_functoriality_refuses_star_past_ceiling(self, capsys, monkeypatch):
+        monkeypatch.delenv("FORGE_MAX_CARRIER", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "functoriality",
+                             "--root", "freesemilattice:3", "--max-base", "2")
+        assert code == 2 and not out
+        assert "stage 1 has at least 5001 elements" in err
+        assert time.perf_counter() - start < 30
 
     def test_cayley(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "cayley",

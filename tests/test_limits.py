@@ -102,6 +102,24 @@ class TestBuildStar:
         with pytest.raises(StructureError):
             build_star(antichain(3), cat)
 
+    def test_ceiling_refusal(self, monkeypatch):
+        # the stage ceiling of build_stages, with the star as stage 1
+        monkeypatch.delenv(STAGE_CEILING_ENV, raising=False)
+        root = free_semilattice(3)
+        cat = enumerate_extensions(root, CatalogParams(2))
+        with pytest.raises(StageCeilingExceeded) as exc:
+            build_star(root, cat)
+        assert exc.value.stage == 1 and exc.value.ceiling == 5000
+        assert exc.value.size == 5001
+        monkeypatch.setenv(STAGE_CEILING_ENV, "15")
+        root = antichain(2)
+        cat = enumerate_extensions(root, CatalogParams(2))
+        with pytest.raises(StageCeilingExceeded) as exc:
+            build_star(root, cat)
+        assert exc.value.size == 16
+        monkeypatch.setenv(STAGE_CEILING_ENV, "16")
+        assert len(build_star(root, cat).object.carrier) == 16
+
 
 class TestStages:
     def test_zero_stages(self):

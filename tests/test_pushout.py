@@ -23,7 +23,7 @@ from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    semilattice_from_meets, simplex)
 from fraisse_forge.structures import Morphism, _fresh_id, meet_closed_subsets
 from fraisse_forge.suites import enumerate_1phep_spans
-from helpers import is_meet_compatible
+from helpers import is_meet_compatible, reference_universal_property
 
 
 def embed_into_code_extension(base, code, new="x"):
@@ -180,6 +180,68 @@ class TestOracle:
         sq = pushout_1phep(Span(incl, identity_morphism(b)))
         rep = verify_universal_property(sq, [edgeless_graph(3)], bound_bits=1)
         assert rep.skipped and rep.objects_tested == 0
+
+
+def first_non_hom(x, y):
+    """The first map x -> y in lexicographic order that is not a hom."""
+    for p in itertools.product(range(len(y.carrier)), repeat=len(x.carrier)):
+        m = structures._morphism(x, y, p)
+        if not structures.is_homomorphism(m):
+            return m
+    return None
+
+
+# ways to corrupt the list of homs out of a pushout object
+HOM_LIST_EDITS = {
+    "unchanged": lambda homs, x, y: homs,
+    "last dropped": lambda homs, x, y: homs[:-1],
+    "first duplicated": lambda homs, x, y: homs[:1] + homs,
+    "non-hom added": lambda homs, x, y: homs + tuple(
+        m for m in [first_non_hom(x, y)] if m is not None),
+}
+
+
+def oracle_squares():
+    """Every 1PHEP pushout of size <= 2 in all four classes, and the
+    semilattice amalgamated sums over bases of size <= 2, each with the test
+    objects of size <= 2 of its class."""
+    grid = (Fraction(1), Fraction(2))
+    for tag in (GRAPH, POSET, METRIC, SEMILATTICE):
+        objs = all_structures(tag, 2, grid if tag == METRIC else None)
+        for span in enumerate_1phep_spans(tag, 2, grid):
+            yield pushout_1phep(span), objs
+    objs = all_structures(SEMILATTICE, 2)
+    for b in objs:
+        ident = {x: x for x in b.carrier}
+        codes = enumerate_codes(SEMILATTICE, b)
+        for c1, c2 in itertools.product(codes, repeat=2):
+            e1, e2 = apply_code(b, c1, "x*"), apply_code(b, c2, "y*")
+            yield amalgamated_sum(Span(morphism_from_dict(b, e1, ident),
+                                       morphism_from_dict(b, e2, ident))), objs
+
+
+class TestOracleAgainstReference:
+    def test_equal_reports(self, monkeypatch):
+        # The count decides each cocone, as the forced-map check did.  The
+        # homs out of each pushout object are also corrupted for both
+        # oracles, so that every kind of failure is compared.
+        cached = pushout._homs_cached
+        labels, compared = set(), 0
+        for edit, change in HOM_LIST_EDITS.items():
+            for sq, objs in oracle_squares():
+                def homs(x, y, bound_bits, p=sq.object, change=change):
+                    got = cached(x, y, bound_bits)
+                    return change(got, x, y) if x == p else got
+
+                monkeypatch.setattr(pushout, "_homs_cached", homs)
+                want = reference_universal_property(sq, objs)
+                assert verify_universal_property(sq, objs) == want, (edit, sq)
+                assert want.passed or edit != "unchanged", sq
+                labels.update(f[-1] for f in want.failures)
+                compared += 1
+        assert compared == 856  # 214 squares, four hom lists each
+        assert "forced/enumerated mismatch" in labels
+        assert {"0 mediating morphisms", "2 mediating morphisms"} <= labels
 
 
 class TestCongruence:

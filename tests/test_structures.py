@@ -1,6 +1,7 @@
 """Core structure types: validation, morphisms, hom enumeration, codes."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, BoundExceeded,
                            StructureError, apply_code, classify,
                            enumerate_codes, enumerate_homs, extension_code,
                            generate, identity_morphism, induced_substructure,
-                           is_embedding, katetov_admissible,
+                           is_embedding, is_homomorphism, katetov_admissible,
                            morphism_from_dict, validate)
 from fraisse_forge.limits import CatalogParams, build_star, enumerate_extensions
 from fraisse_forge.presets import (antichain, chain, edgeless_graph,
@@ -21,7 +22,8 @@ from fraisse_forge.presets import (antichain, chain, edgeless_graph,
                                    metric_from_distances, poset_from_pairs,
                                    semilattice_from_meets, simplex)
 from fraisse_forge.pushout import all_structures, congruence_generated
-from fraisse_forge.structures import (enumerate_isomorphisms_over_base,
+from fraisse_forge.structures import (_morphism,
+                                      enumerate_isomorphisms_over_base,
                                       fresh_ids, meet_closed_subsets)
 from helpers import rebased
 
@@ -185,6 +187,17 @@ def reference_kind(x, y, ids):
     return SURJECTION if surjective else HOM
 
 
+class TestHashing:
+    def test_cached_hash_is_not_pickled(self):
+        # string hashes differ between processes
+        s = free_semilattice(2)
+        before = pickle.dumps(s)
+        h = hash(s)
+        assert pickle.dumps(s) == before
+        copy = pickle.loads(before)
+        assert copy == s and hash(copy) == h
+
+
 class TestPositionRepresentation:
     """Morphisms store target positions; every id-level reading must agree
     with plain id maps on all maps between structures of up to 2 points."""
@@ -318,6 +331,23 @@ class TestEnumerateHoms:
                 if classify(m) != NOT_HOM:
                     want.add(images)
             assert got == want
+
+    @pytest.mark.parametrize("tag", [GRAPH, POSET, METRIC, SEMILATTICE])
+    def test_ordered_against_all_maps(self, tag):
+        # the same position lists, in the same order, as every map in
+        # lexicographic order filtered by the hom check
+        grid = (Fraction(1), Fraction(2), Fraction(3)) if tag == METRIC else None
+        objs = all_structures(tag, 3, grid)
+        if tag == SEMILATTICE:
+            # a meet that lies after both its arguments in carrier order
+            assert any(x.size == 3 and x.table[0][1] == 2 for x in objs)
+        for x in objs:
+            for y in objs:
+                want = [p for p in itertools.product(range(len(y.carrier)),
+                                                     repeat=len(x.carrier))
+                        if is_homomorphism(_morphism(x, y, p))]
+                got = [m.positions for m in enumerate_homs(x, y)]
+                assert got == want, (x, y)
 
     @given(st.integers(0, 2**6 - 1))
     @settings(max_examples=32, deadline=None)

@@ -2,9 +2,10 @@
 
 A rooted multi-amalgam is a root structure A together with a finite list of
 one-point extensions, each given by a base substructure of A (possibly empty
-for graphs and posets) and an extension code over that base.  Its free sum is
-the colimit obtained by amalgamating every extension over A: one
-`pushout.free_amalgam` with the root as hub and the extensions as spokes.
+where the class admits it: graphs and posets) and an extension code over that
+base.  Its free sum is the colimit obtained by amalgamating every extension
+over A: one `pushout.free_amalgam` with the root as hub and the extensions as
+spokes.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .pushout import free_amalgam
-from .structures import (GRAPH, POSET, ExtensionCode, FiniteStructure,
+from .structures import (RECORDS, ExtensionCode, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
                          _fresh_id, _morphism, apply_code,
                          induced_substructure, is_embedding)
-
-EMPTY_BASE_CLASSES = (GRAPH, POSET)  # only these classes have free one-point adjoins
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,8 @@ class AmalgamPair:
     """One arm of a rooted multi-amalgam: a base inside the root plus a code.
 
     `base_carrier` lists elements of the root (in root carrier order); empty
-    only for graphs and posets.  `new_id` is a requested name for the fresh
-    point, renamed on collision during the sum.
+    only where the class's record admits the empty base.  `new_id` is a
+    requested name for the fresh point, renamed on collision during the sum.
     """
 
     base_carrier: tuple[str, ...]
@@ -46,7 +45,7 @@ class RootedMultiAmalgam:
     def __post_init__(self):
         for p in self.pairs:
             if not p.base_carrier:
-                if self.root.class_tag not in EMPTY_BASE_CLASSES:
+                if not RECORDS[self.root.class_tag].empty_base:
                     raise StructureError(
                         f"empty base is not admissible for class {self.root.class_tag}")
                 continue

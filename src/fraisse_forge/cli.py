@@ -14,8 +14,8 @@ from pathlib import Path
 from . import __version__, serialization, suites
 from .limits import CatalogParams, build_stages
 from .presets import antichain, edgeless_graph, free_semilattice, simplex
-from .structures import (GRAPH, METRIC, POSET, SEMILATTICE, FiniteStructure,
-                         StructureError)
+from .structures import (CLASS_TAGS, GRAPH, METRIC, POSET, SEMILATTICE,
+                         FiniteStructure, StructureError)
 
 PRESET_CLASSES = {"edgeless": GRAPH, "antichain": POSET,
                   "simplex": METRIC, "freesemilattice": SEMILATTICE}
@@ -182,8 +182,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--class", dest="class_tag", choices=[GRAPH, POSET,
-                       METRIC, SEMILATTICE], default=None)
+        p.add_argument("--class", dest="class_tag", choices=CLASS_TAGS, default=None)
         p.add_argument("--grid", default=None,
                        help="comma-separated rational distances (metric only)")
         p.add_argument("--max-base", type=int, default=2,

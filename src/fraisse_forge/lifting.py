@@ -140,19 +140,28 @@ class FunctorialityReport:
         return self.passed
 
 
+def _composition_mismatch(outer: Morphism, inner: Morphism,
+                          composite: Morphism) -> tuple[str, str, str] | None:
+    """The first point x where outer(inner(x)) and composite(x) differ, as
+    (x, the first image, the second image) in ids; None if they agree.
+
+    The one check of the composition law of lifts."""
+    got, want = outer.compose(inner).positions, composite.positions
+    if got == want:
+        return None
+    k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+    carrier = composite.target.carrier
+    return composite.source.carrier[k], carrier[got[k]], carrier[want[k]]
+
+
 def verify_functoriality(phi: Morphism, phi_prime: Morphism,
                          star: FreeSum, catalog: Catalog) -> FunctorialityReport:
     """Exact check that lifting commutes with composition on the star carrier."""
     l1 = lift(phi, star, catalog)
     l2 = lift(phi_prime, star, catalog)
     lc = lift(phi_prime.compose(phi), star, catalog)
-    composed = l2.lifted.compose(l1.lifted)
-    if composed.mapping == lc.lifted.mapping:
-        return FunctorialityReport(True)
-    for x, a, b in zip(star.object.carrier, composed.mapping, lc.lifted.mapping):
-        if a != b:
-            return FunctorialityReport(False, (x, a, b))
-    raise InternalConsistencyError("mappings differ but no mismatch found")
+    mismatch = _composition_mismatch(l2.lifted, l1.lifted, lc.lifted)
+    return FunctorialityReport(mismatch is None, mismatch)
 
 
 def endomorphisms(s: FiniteStructure) -> list[Morphism]:
@@ -235,22 +244,48 @@ def _semilattice_endo_from_generator_map(root: FiniteStructure,
     return _morphism(root, root, tuple(positions))
 
 
-def _cayley_catalog(root: FiniteStructure, class_tag: str,
-                    designated: tuple[str, ...]) -> Catalog:
+def _discrete_root(root: FiniteStructure, grid: tuple[Fraction, ...] = ()):
+    """A Cayley root whose points are all designated, in carrier order, so
+    their images are the endomorphism."""
+    return root, root.carrier, grid, \
+        lambda images: _morphism(root, root, tuple(images))
+
+
+def _free_semilattice_root(n: int):
+    """The free semilattice on n designated generators; an endomorphism is the
+    extension of a map of the generators."""
+    if n > 6:
+        raise StructureError("free semilattice roots are capped at 6 generators")
+    root, designated = free_semilattice(n), free_semilattice_generators(n)
+    gens = [root.index(g) for g in designated]
+    return root, designated, (), \
+        lambda images: _semilattice_endo_from_generator_map(root, gens, images)
+
+
+# class tag -> the Cayley root on n designated points: (root, designated ids,
+# catalog distance grid, endomorphism from the images of the designated
+# points as root positions)
+_CAYLEY_ROOTS = {
+    GRAPH: lambda n: _discrete_root(edgeless_graph(n)),
+    POSET: lambda n: _discrete_root(antichain(n)),
+    METRIC: lambda n: _discrete_root(simplex(n, 1), (Fraction(1), Fraction(2))),
+    SEMILATTICE: _free_semilattice_root,
+}
+
+
+def _cayley_catalog(root: FiniteStructure, designated: tuple[str, ...],
+                    grid: tuple[Fraction, ...]) -> Catalog:
     """Catalog of all one-point extension types over singleton designated bases.
 
     Closed under every Cayley endomorphism, which permutes-or-collapses the
     designated set into itself, so every lift finds its transported type.
     """
-    grid = (Fraction(1), Fraction(2)) if class_tag == METRIC else ()
-    params = CatalogParams(1, grid)
     entries = []
     for b in designated:
         base = induced_substructure(root, (b,))
-        for code in enumerate_codes(class_tag, base,
-                                    grid=grid if class_tag == METRIC else None):
+        for code in enumerate_codes(root.class_tag, base, grid=grid):
             entries.append(((b,), code))
-    return Catalog(root, params, tuple(entries))
+    return Catalog(root, CatalogParams(1, grid), tuple(entries))
 
 
 def cayley_demo(table, class_tag: str, n: int | None = None) -> CayleyEmbedding:
@@ -270,33 +305,15 @@ def cayley_demo(table, class_tag: str, n: int | None = None) -> CayleyEmbedding:
         n = m
     if n < m:
         raise StructureError(f"root needs at least {m} designated points")
-    if class_tag == GRAPH:
-        root = edgeless_graph(n)
-        designated = root.carrier
-    elif class_tag == POSET:
-        root = antichain(n)
-        designated = root.carrier
-    elif class_tag == METRIC:
-        root = simplex(n, 1)
-        designated = root.carrier
-    elif class_tag == SEMILATTICE:
-        if n > 6:
-            raise StructureError("free semilattice roots are capped at 6 generators")
-        root = free_semilattice(n)
-        designated = free_semilattice_generators(n)
-    else:
+    if class_tag not in _CAYLEY_ROOTS:
         raise StructureError(f"unknown class {class_tag!r}")
-    catalog = _cayley_catalog(root, class_tag, designated)
+    root, designated, grid, endomorphism = _CAYLEY_ROOTS[class_tag](n)
+    catalog = _cayley_catalog(root, designated, grid)
     star = build_star(root, catalog)
 
     gens = [root.index(d) for d in designated]
-    endos = []
-    for s in range(m):
-        images = [gens[full[x][s]] for x in range(m)] + gens[m:]
-        if class_tag == SEMILATTICE:
-            endos.append(_semilattice_endo_from_generator_map(root, gens, images))
-        else:  # every point is designated, in carrier order
-            endos.append(_morphism(root, root, tuple(images)))
+    endos = [endomorphism([gens[full[x][s]] for x in range(m)] + gens[m:])
+             for s in range(m)]
     lifted = [lift(phi, star, catalog) for phi in endos]
 
     maps = [l.lifted.positions for l in lifted]

@@ -4,19 +4,16 @@ and homogeneity / extension-property checkers."""
 from __future__ import annotations
 
 import collections
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amalgam import (EMPTY_BASE_CLASSES, AmalgamPair, FreeSum,
-                      RootedMultiAmalgam, free_sum)
+from .amalgam import AmalgamPair, FreeSum, RootedMultiAmalgam, free_sum
 from .meetglue import SizeCeilingExceeded
-from .structures import (GRAPH, METRIC, SEMILATTICE, ExtensionCode,
-                         FiniteStructure, InternalConsistencyError, Morphism,
-                         StructureError, enumerate_codes, fresh_ids,
-                         induced_substructure, meet_closed_subsets,
-                         point_codes, require_valid)
+from .structures import (GRAPH, RECORDS, ExtensionCode, FiniteStructure,
+                         InternalConsistencyError, Morphism, StructureError,
+                         enumerate_codes, fresh_ids, induced_substructure,
+                         meet_closed_subsets, point_codes, require_valid)
 
 DEFAULT_STAGE_CEILING = 5000
 STAGE_CEILING_ENV = "FORGE_MAX_CARRIER"
@@ -74,29 +71,24 @@ class Catalog:
 def _bases(root: FiniteStructure, max_base_size: int):
     """Base subsets in deterministic order: by size, then carrier position.
 
-    The empty base appears first for graphs and posets; semilattice bases are
-    exactly the meet-closed subsets (the finitely generated substructures).
+    The empty base comes first where the class admits it (graphs and
+    posets); semilattice bases are exactly the meet-closed subsets (the
+    finitely generated substructures).
     """
-    tag = root.class_tag
-    if tag in EMPTY_BASE_CLASSES:
+    if RECORDS[root.class_tag].empty_base:
         yield ()
-    if tag == SEMILATTICE:
-        yield from meet_closed_subsets(root, max_base_size)
-        return
-    for size in range(1, max_base_size + 1):
-        for combo in itertools.combinations(root.carrier, size):
-            yield combo
+    yield from meet_closed_subsets(root, max_base_size)
 
 
 def enumerate_extensions(root: FiniteStructure, params: CatalogParams) -> Catalog:
+    """Every one-point extension code over every base of at most
+    `params.max_base_size` points; metric codes draw their distances from
+    `params.metric_grid`, which the other classes ignore."""
     require_valid(root, "catalog root")
-    if root.class_tag == METRIC and not params.metric_grid:
-        raise StructureError("metric catalogs require a non-empty distance grid")
     entries = []
     for base_carrier in _bases(root, params.max_base_size):
         base = induced_substructure(root, base_carrier) if base_carrier else None
-        grid = params.metric_grid if root.class_tag == METRIC else None
-        for code in enumerate_codes(root.class_tag, base, grid=grid):
+        for code in enumerate_codes(root.class_tag, base, grid=params.metric_grid):
             entries.append((tuple(base_carrier), code))
     if len(set(entries)) != len(entries):
         count = collections.Counter(entries)

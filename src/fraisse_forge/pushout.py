@@ -14,10 +14,11 @@ from . import meetglue
 from .structures import (DEFAULT_HOM_BOUND_BITS, GRAPH, METRIC, POSET,
                          SEMILATTICE, BoundExceeded, ExtensionCode,
                          FiniteStructure, InternalConsistencyError, Morphism,
-                         StructureError, _fresh_id, _hom_violation, _morphism,
-                         apply_code, classify, enumerate_homs,
-                         identity_morphism, is_embedding, is_homomorphism,
-                         is_surjection, require_valid, validate)
+                         StructureError, _fresh_id, _grid, _hom_violation,
+                         _morphism, apply_code, class_record, classify,
+                         enumerate_homs, identity_morphism, is_embedding,
+                         is_homomorphism, is_surjection, require_valid,
+                         validate)
 
 
 @dataclass(frozen=True)
@@ -81,91 +82,102 @@ def pushout_1phep(span: Span) -> PushoutSquare:
     """Pushout of (B -> C one-point embedding, B ->> B') within the class.
 
     The witnessing square has a surjective left leg C -> P and an embedding
-    B' -> P; both contracts are asserted on construction.
+    B' -> P; both contracts are asserted on construction.  The class's push
+    builds P and validates it.
     """
     x = _check_1phep_span(span)
-    b, c, bp = span.apex, span.left.target, span.right.target
+    c = span.left.target
     # position in C of each base image -> its position in B'
     f = dict(zip(span.left.positions, span.right.positions))
-    xi = c.index(x)
-    nb = len(bp.carrier)
-    ct, bt = c.table, bp.table
-    others = [w for w in range(len(c.carrier)) if w != xi]
-
-    def left_to(obj: FiniteStructure, p: int) -> Morphism:
-        """C -> obj: the base as into B', the new point to position p."""
-        return _morphism(c, obj, tuple([f.get(w, p) for w in range(len(c.carrier))]))
-
-    def adjoin(code: ExtensionCode, xp: str):
-        """B' with the point xp adjoined by `code`, and both legs into it."""
-        obj = apply_code(bp, code, xp)
-        return obj, left_to(obj, nb), _morphism(bp, obj, tuple(range(nb)))
-
-    tag = b.class_tag
-    if tag == GRAPH:
-        xp = _fresh_id("x*", set(bp.carrier))
-        neighbors = tuple(bp.carrier[p]
-                          for p in sorted({f[w] for w in others if ct[xi][w]}))
-        obj, left_leg, right_leg = adjoin(
-            ExtensionCode(GRAPH, bp.carrier, neighbors), xp)
-        witness = {"case": "adjoin", "new_point": xp, "neighbors": neighbors}
-    elif tag == POSET:
-        lower = {f[w] for w in others if ct[w][xi]}
-        upper = {f[w] for w in others if ct[xi][w]}
-        shared = lower & upper
-        if shared:
-            if len(shared) != 1:
-                raise InternalConsistencyError(
-                    f"collapse point between the down-set and up-set not unique: "
-                    f"{[bp.carrier[p] for p in sorted(shared)]}")
-            y0 = next(iter(shared))
-            obj, left_leg, right_leg = bp, left_to(bp, y0), identity_morphism(bp)
-            witness = {"case": "collapse", "collapse_point": bp.carrier[y0]}
-        else:
-            xp = _fresh_id("x*", set(bp.carrier))
-            down = tuple(bp.carrier[p] for p in range(nb)
-                         if any(bt[p][w] for w in lower))
-            up = tuple(bp.carrier[p] for p in range(nb)
-                       if any(bt[w][p] for w in upper))
-            if set(down) & set(up):
-                raise InternalConsistencyError(
-                    f"poset insertion broke antisymmetry at "
-                    f"{[y for y in down if y in set(up)]}")
-            obj, left_leg, right_leg = adjoin(
-                ExtensionCode(POSET, bp.carrier, (down, up)), xp)
-            witness = {"case": "insert", "new_point": xp}
-    elif tag == METRIC:
-        xp = _fresh_id("y*", set(bp.carrier))
-        vec = tuple(min(ct[xi][w] + bt[f[w]][p] for w in others) for p in range(nb))
-        obj, left_leg, right_leg = adjoin(
-            ExtensionCode(METRIC, bp.carrier, vec), xp)
-        witness = {"case": "adjoin", "new_point": xp,
-                   "distances": dict(zip(bp.carrier, vec))}
-    else:
-        base = sorted(f)
-        ker = [(c.carrier[u], c.carrier[v])
-               for u in base for v in base if f[u] == f[v] and u != v]
-        theta = congruence_generated(c, ker)
-        obj, nu = quotient(c, theta)
-        right = dict(zip(span.right.positions,
-                         (nu.positions[u] for u in span.left.positions)))
-        hit = set(right.values())
-        if len(hit) != len(right):
-            pairs = sorted((bp.carrier[k], obj.carrier[v]) for k, v in right.items())
-            raise InternalConsistencyError(
-                f"congruence fails to restrict to the kernel: {pairs}")
-        right_leg = _morphism(bp, obj, tuple([right[k] for k in range(nb)]))
-        left_leg = nu
-        obj_new = [e for k, e in enumerate(obj.carrier) if k not in hit]
-        witness = {"case": "quotient", "congruence": theta.blocks,
-                   "new_point": obj_new[0] if obj_new else None}
-    if tag != SEMILATTICE:  # `quotient` validated it
-        require_valid(obj, "1PHEP pushout", constructed=True)
+    obj, left_leg, right_leg, witness = _PUSHES[c.class_tag](
+        c, span.right.target, f, c.index(x))
     if not is_surjection(left_leg):  # False for a non-homomorphism too
         raise _leg_error("1PHEP left leg is not a surjective hom", left_leg)
     if not is_embedding(right_leg):
         raise _leg_error("1PHEP right leg is not an embedding", right_leg)
     return PushoutSquare(span, obj, left_leg, right_leg, witness)
+
+
+def _left_to(c: FiniteStructure, obj: FiniteStructure, f: dict, p: int) -> Morphism:
+    """C -> obj: the base as into B', the new point to position p."""
+    return _morphism(c, obj, tuple([f.get(w, p) for w in range(len(c.carrier))]))
+
+
+def _adjoin(c: FiniteStructure, bp: FiniteStructure, f: dict,
+            code: ExtensionCode, xp: str):
+    """B' with the point xp adjoined by `code`, validated, and both legs into it."""
+    obj = apply_code(bp, code, xp)
+    require_valid(obj, "1PHEP pushout", constructed=True)
+    nb = len(bp.carrier)
+    return obj, _left_to(c, obj, f, nb), _morphism(bp, obj, tuple(range(nb)))
+
+
+# Each push takes C, B', the map f from C's base positions to B' and the
+# position xi of C's new point, and returns the pushout object, both legs and
+# the witness.  f's keys are every position of C but xi.
+
+def _push_graph(c, bp, f, xi):
+    xp = _fresh_id("x*", set(bp.carrier))
+    neighbors = tuple(bp.carrier[p]
+                      for p in sorted({f[w] for w in f if c.table[xi][w]}))
+    return (*_adjoin(c, bp, f, ExtensionCode(GRAPH, bp.carrier, neighbors), xp),
+            {"case": "adjoin", "new_point": xp, "neighbors": neighbors})
+
+
+def _push_poset(c, bp, f, xi):
+    ct, bt, nb = c.table, bp.table, len(bp.carrier)
+    lower = {f[w] for w in f if ct[w][xi]}
+    upper = {f[w] for w in f if ct[xi][w]}
+    shared = lower & upper
+    if shared:
+        if len(shared) != 1:
+            raise InternalConsistencyError(
+                f"collapse point between the down-set and up-set not unique: "
+                f"{[bp.carrier[p] for p in sorted(shared)]}")
+        y0 = next(iter(shared))
+        require_valid(bp, "1PHEP pushout", constructed=True)
+        return (bp, _left_to(c, bp, f, y0), identity_morphism(bp),
+                {"case": "collapse", "collapse_point": bp.carrier[y0]})
+    xp = _fresh_id("x*", set(bp.carrier))
+    down = tuple(bp.carrier[p] for p in range(nb) if any(bt[p][w] for w in lower))
+    up = tuple(bp.carrier[p] for p in range(nb) if any(bt[w][p] for w in upper))
+    if set(down) & set(up):
+        raise InternalConsistencyError(
+            f"poset insertion broke antisymmetry at "
+            f"{[y for y in down if y in set(up)]}")
+    return (*_adjoin(c, bp, f, ExtensionCode(POSET, bp.carrier, (down, up)), xp),
+            {"case": "insert", "new_point": xp})
+
+
+def _push_metric(c, bp, f, xi):
+    ct, bt = c.table, bp.table
+    xp = _fresh_id("y*", set(bp.carrier))
+    vec = tuple(min(ct[xi][w] + bt[f[w]][p] for w in f) for p in range(len(bp.carrier)))
+    return (*_adjoin(c, bp, f, ExtensionCode(METRIC, bp.carrier, vec), xp),
+            {"case": "adjoin", "new_point": xp, "distances": dict(zip(bp.carrier, vec))})
+
+
+def _push_semilattice(c, bp, f, xi):
+    """C modulo the congruence its base kernel generates; `quotient` validates."""
+    base = sorted(f)
+    ker = [(c.carrier[u], c.carrier[v])
+           for u in base for v in base if f[u] == f[v] and u != v]
+    theta = congruence_generated(c, ker)
+    obj, nu = quotient(c, theta)
+    right = {k: nu.positions[u] for u, k in f.items()}
+    hit = set(right.values())
+    if len(hit) != len(right):
+        pairs = sorted((bp.carrier[k], obj.carrier[v]) for k, v in right.items())
+        raise InternalConsistencyError(
+            f"congruence fails to restrict to the kernel: {pairs}")
+    right_leg = _morphism(bp, obj, tuple([right[k] for k in range(len(bp.carrier))]))
+    obj_new = [e for k, e in enumerate(obj.carrier) if k not in hit]
+    return obj, nu, right_leg, {"case": "quotient", "congruence": theta.blocks,
+                                "new_point": obj_new[0] if obj_new else None}
+
+
+_PUSHES = {GRAPH: _push_graph, POSET: _push_poset, METRIC: _push_metric,
+           SEMILATTICE: _push_semilattice}
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +194,12 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
     induced copy of the hub's) and a fresh id otherwise.  The carrier is the
     hub's followed by the fresh ids in spoke order.  A result over
     `max_elements` is refused with `meetglue.SizeCeilingExceeded` before any
-    table is built.  Semilattices are glued by `meetglue.glue`, and `parts`
-    is its ground decomposition.  Graphs, posets and metric spaces keep the
-    hub's and each spoke's relations and add only those forced through the
-    hub: none for graphs, order composition for posets, min-plus routing for
-    metric spaces; `parts` is None for them.  The last value holds, per
-    spoke, the result carrier position of each spoke element.
+    table is built.  The class's fill builds the table: semilattices are
+    glued by `meetglue.glue`, and `parts` is its ground decomposition;
+    graphs, posets and metric spaces keep the hub's and each spoke's
+    relations and add only those forced through the hub, and `parts` is None
+    for them.  The last value holds, per spoke, the result carrier position
+    of each spoke element.
     """
     tag = hub.class_tag
     n = len(hub.carrier)
@@ -210,66 +222,102 @@ def free_amalgam(hub: FiniteStructure, spokes, max_elements: int | None = None
     if max_elements is not None and m > max_elements:
         # For semilattices the ground carrier only bounds the glued size below.
         raise meetglue.SizeCeilingExceeded(max_elements, m)
-    if tag == SEMILATTICE:
-        glued = meetglue.glue([(hub, hub.carrier), *spokes], carrier,
-                              max_elements=max_elements)
-        return glued.structure, glued.parts, [arm[1] for arm in arms]
-    zero = Fraction(0) if tag == METRIC else False
-    t = [list(row) + [zero] * (m - n) for row in hub.table] + \
-        [[zero] * m for _ in range(m - n)]
-    ht = hub.table
-    if tag == POSET:
-        up = [sum(1 << h for h in range(n) if ht[b][h]) for b in range(n)]
-        down = [sum(1 << h for h in range(n) if ht[h][b]) for b in range(n)]
-        fresh = []  # (spoke number, position, hub up-set, hub down-set)
-        for a, (s, at, base, new) in enumerate(arms):
-            st = s.table
-            for k in new:
-                ux = dx = 0
-                for kb in base:
-                    if st[k][kb]:
-                        ux |= up[at[kb]]
-                    if st[kb][k]:
-                        dx |= down[at[kb]]
-                row = t[at[k]]
-                for h in range(n):
-                    row[h] = bool(ux >> h & 1)
-                    t[h][at[k]] = bool(dx >> h & 1)
-                fresh.append((a, at[k], ux, dx))
-        for a, p, ux, _ in fresh:
-            for b, q, _, dy in fresh:
-                if a != b:
-                    t[p][q] = bool(ux & dy)
-    elif tag == METRIC:
-        fresh = []  # (spoke number, position, (hub position, distance) per base point)
-        for a, (s, at, base, new) in enumerate(arms):
-            st = s.table
-            for k in new:
-                via = [(at[kb], st[k][kb]) for kb in base]
-                row = t[at[k]]
-                for h in range(n):
-                    row[h] = t[h][at[k]] = min(d + ht[q][h] for q, d in via)
-                fresh.append((a, at[k], via))
-        for i, (a, p, _) in enumerate(fresh):
-            row = t[p]
-            for b, q, via in fresh[i + 1:]:
-                if a != b:
-                    row[q] = t[q][p] = min(row[r] + d for r, d in via)
+    structure, parts = _FILLS[tag](hub, spokes, carrier, arms, max_elements)
+    return structure, parts, [arm[1] for arm in arms]
+
+
+# Each fill takes the hub, the spokes, the result carrier, the arms (spoke
+# structure, result positions, base and fresh spoke indices) and the size
+# ceiling, and returns the amalgam and its ground parts, or None.
+
+def _fill_semilattice(hub, spokes, carrier, arms, max_elements):
+    glued = meetglue.glue([(hub, hub.carrier), *spokes], carrier,
+                          max_elements=max_elements)
+    return glued.structure, glued.parts
+
+
+def _hub_table(hub: FiniteStructure, m: int) -> list[list]:
+    """The m x m blank table of the class, the hub's table in its corner."""
+    t = class_record(hub.class_tag).blank(m)
+    for i, row in enumerate(hub.table):
+        t[i][:len(row)] = row
+    return t
+
+
+def _with_spokes(hub, carrier, t, arms) -> FiniteStructure:
+    """The table `t` with each spoke's own relations written in."""
     for s, at, _, new in arms:
         st = s.table
         for k in new:
             for j, q in enumerate(at):
                 t[at[k]][q] = st[k][j]
                 t[q][at[k]] = st[j][k]
-    if tag == POSET:
-        for p in range(n, m):
-            for q in range(p):
-                if t[p][q] and t[q][p]:
-                    raise InternalConsistencyError(
-                        f"free poset amalgam broke antisymmetry at "
-                        f"({carrier[q]}, {carrier[p]})")
-    return (FiniteStructure(tag, tuple(carrier), tuple(map(tuple, t))), None,
-            [arm[1] for arm in arms])
+    return FiniteStructure(hub.class_tag, tuple(carrier), tuple(map(tuple, t)))
+
+
+def _fill_graph(hub, spokes, carrier, arms, max_elements):
+    """No edge is forced through the hub."""
+    return _with_spokes(hub, carrier, _hub_table(hub, len(carrier)), arms), None
+
+
+def _fill_poset(hub, spokes, carrier, arms, max_elements):
+    """Order composition through the hub."""
+    n, ht = len(hub.carrier), hub.table
+    t = _hub_table(hub, len(carrier))
+    up = [sum(1 << h for h in range(n) if ht[b][h]) for b in range(n)]
+    down = [sum(1 << h for h in range(n) if ht[h][b]) for b in range(n)]
+    fresh = []  # (spoke number, position, hub up-set, hub down-set)
+    for a, (s, at, base, new) in enumerate(arms):
+        st = s.table
+        for k in new:
+            ux = dx = 0
+            for kb in base:
+                if st[k][kb]:
+                    ux |= up[at[kb]]
+                if st[kb][k]:
+                    dx |= down[at[kb]]
+            row = t[at[k]]
+            for h in range(n):
+                row[h] = bool(ux >> h & 1)
+                t[h][at[k]] = bool(dx >> h & 1)
+            fresh.append((a, at[k], ux, dx))
+    for a, p, ux, _ in fresh:
+        for b, q, _, dy in fresh:
+            if a != b:
+                t[p][q] = bool(ux & dy)
+    obj = _with_spokes(hub, carrier, t, arms)
+    for p in range(n, len(carrier)):
+        for q in range(p):
+            if t[p][q] and t[q][p]:
+                raise InternalConsistencyError(
+                    f"free poset amalgam broke antisymmetry at "
+                    f"({carrier[q]}, {carrier[p]})")
+    return obj, None
+
+
+def _fill_metric(hub, spokes, carrier, arms, max_elements):
+    """Min-plus routing through the hub."""
+    n, ht = len(hub.carrier), hub.table
+    t = _hub_table(hub, len(carrier))
+    fresh = []  # (spoke number, position, (hub position, distance) per base point)
+    for a, (s, at, base, new) in enumerate(arms):
+        st = s.table
+        for k in new:
+            via = [(at[kb], st[k][kb]) for kb in base]
+            row = t[at[k]]
+            for h in range(n):
+                row[h] = t[h][at[k]] = min(d + ht[q][h] for q, d in via)
+            fresh.append((a, at[k], via))
+    for i, (a, p, _) in enumerate(fresh):
+        row = t[p]
+        for b, q, via in fresh[i + 1:]:
+            if a != b:
+                row[q] = t[q][p] = min(row[r] + d for r, d in via)
+    return _with_spokes(hub, carrier, t, arms), None
+
+
+_FILLS = {GRAPH: _fill_graph, POSET: _fill_poset, METRIC: _fill_metric,
+          SEMILATTICE: _fill_semilattice}
 
 
 def amalgamated_sum(span: Span) -> PushoutSquare:
@@ -441,7 +489,15 @@ def verify_universal_property(sq: PushoutSquare, test_objects,
     Where the legs cover the carrier a mediator is the map they force, so a
     failure is labelled "forced/enumerated mismatch" when that forced map is
     a homomorphism, and by its count of mediating morphisms otherwise.
+
+    A square whose leg is not a homomorphism fails first, with one failure
+    naming the leg and the pair it does not preserve, and nothing is
+    enumerated.  `PushoutSquare` has already checked that the square commutes.
     """
+    for side, leg in (("left leg", sq.left_leg), ("right leg", sq.right_leg)):
+        violation = _hom_violation(leg)
+        if violation is not None:
+            return OracleReport(False, 0, 0, ((side, violation, "not a homomorphism"),))
     c = sq.left_leg.source
     bp = sq.right_leg.source
     on_left = _picker(sq.left_leg.positions)
@@ -492,46 +548,23 @@ def all_structures(class_tag: str, max_size: int,
                    grid: tuple[Fraction, ...] | None = None) -> list[FiniteStructure]:
     """Every structure of the class on canonical carriers q0..q{k-1}, k <= max_size.
 
-    Metric structures draw their distances from `grid`.  Deterministic order.
+    Each cell of the class's table takes each of its record's test values.
+    Metric structures draw their distances from `grid`, which the other
+    classes ignore.  Deterministic order.
     """
+    rec = class_record(class_tag)
+    grid = _grid(rec, grid)
     out: list[FiniteStructure] = []
     for n in range(1, max_size + 1):
         carrier = tuple(f"q{i}" for i in range(n))
-        pairs = list(itertools.combinations(range(n), 2))
-        if class_tag == GRAPH:
-            for mask in itertools.product((False, True), repeat=len(pairs)):
-                t = [[False] * n for _ in range(n)]
-                for (i, j), m in zip(pairs, mask):
-                    t[i][j] = t[j][i] = m
-                out.append(FiniteStructure(GRAPH, carrier, tuple(map(tuple, t))))
-        elif class_tag == POSET:
-            cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-            for mask in itertools.product((False, True), repeat=len(cells)):
-                t = [[i == j for j in range(n)] for i in range(n)]
-                for (i, j), m in zip(cells, mask):
-                    t[i][j] = m
-                s = FiniteStructure(POSET, carrier, tuple(map(tuple, t)))
-                if validate(s).ok:
-                    out.append(s)
-        elif class_tag == METRIC:
-            if not grid:
-                raise StructureError("metric test objects require a grid")
-            gvals = tuple(sorted(Fraction(g) for g in grid))
-            for vals in itertools.product(gvals, repeat=len(pairs)):
-                t = [[Fraction(0)] * n for _ in range(n)]
-                for (i, j), v in zip(pairs, vals):
-                    t[i][j] = t[j][i] = v
-                s = FiniteStructure(METRIC, carrier, tuple(map(tuple, t)))
-                if validate(s).ok:
-                    out.append(s)
-        else:
-            for vals in itertools.product(range(n), repeat=len(pairs)):
-                t = [[0] * n for _ in range(n)]
-                for i in range(n):
-                    t[i][i] = i
-                for (i, j), v in zip(pairs, vals):
-                    t[i][j] = t[j][i] = v
-                s = FiniteStructure(SEMILATTICE, carrier, tuple(map(tuple, t)))
-                if validate(s).ok:
-                    out.append(s)
+        cells = list(rec.cells(n))
+        for vals in itertools.product(rec.test_values(n, grid), repeat=len(cells)):
+            t = rec.blank(n)
+            for (i, j), v in zip(cells, vals):
+                t[i][j] = v
+                if rec.symmetric:
+                    t[j][i] = v
+            s = FiniteStructure(class_tag, carrier, tuple(map(tuple, t)))
+            if not rec.tests_screened or validate(s).ok:
+                out.append(s)
     return out

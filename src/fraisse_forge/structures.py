@@ -2,7 +2,9 @@
 
 Carriers are ordered tuples of string ids; every enumeration and canonical code
 follows carrier order, so all operations are deterministic.  Metric distances
-are `fractions.Fraction` throughout -- no floats anywhere.
+are `fractions.Fraction` throughout -- no floats anywhere.  What each class
+means is stated once, in its `ClassRecord`; the operations below look the
+record up by class tag and never branch on the tag.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ GRAPH = "graph"
 POSET = "poset"
 METRIC = "metric"
 SEMILATTICE = "semilattice"
-CLASS_TAGS = (GRAPH, POSET, METRIC, SEMILATTICE)
 
 # Morphism kinds, weakest to strongest.
 NOT_HOM = "not-hom"
@@ -62,11 +63,8 @@ _set = object.__setattr__
 class FiniteStructure:
     """A finite structure of one of the four supported classes.
 
-    `table` is class specific:
-      graph        -- tuple of tuples of bool (adjacency)
-      poset        -- tuple of tuples of bool (the full reflexive <= relation)
-      metric       -- tuple of tuples of Fraction
-      semilattice  -- tuple of tuples of int (carrier index of the meet)
+    `table` is a square tuple of tuples over the carrier; what its entries
+    mean is class specific and described at the class's record in `RECORDS`.
     """
 
     class_tag: str
@@ -74,7 +72,7 @@ class FiniteStructure:
     table: tuple[tuple, ...]
 
     def __post_init__(self):
-        if self.class_tag not in CLASS_TAGS:
+        if self.class_tag not in RECORDS:
             raise StructureError(f"unknown class tag {self.class_tag!r}")
 
     def __hash__(self):
@@ -107,18 +105,24 @@ class FiniteStructure:
         return self.table[self.index(u)][self.index(v)]
 
     def leq(self, u: str, v: str) -> bool:
-        if self.class_tag == POSET:
-            return self.table[self.index(u)][self.index(v)]
-        if self.class_tag == SEMILATTICE:
-            i, j = self.index(u), self.index(v)
-            return self.table[i][j] == i
-        raise StructureError(f"leq undefined for class {self.class_tag}")
+        order = RECORDS[self.class_tag].order
+        if order is None:
+            raise StructureError(f"leq undefined for class {self.class_tag}")
+        return order(self.table)[self.index(u)][self.index(v)]
 
     def dist(self, u: str, v: str) -> Fraction:
         return self.table[self.index(u)][self.index(v)]
 
     def meet(self, u: str, v: str) -> str:
         return self.carrier[self.table[self.index(u)][self.index(v)]]
+
+
+def class_record(tag: str) -> ClassRecord:
+    """The record of the class `tag`; an unknown tag is a StructureError."""
+    try:
+        return RECORDS[tag]
+    except KeyError:
+        raise StructureError(f"unknown class tag {tag!r}") from None
 
 
 def _shape_check(s: FiniteStructure) -> ValidationReport:
@@ -131,20 +135,6 @@ def _shape_check(s: FiniteStructure) -> ValidationReport:
                                 witness=(next(x for x in s.carrier if count[x] > 1),))
     if len(s.table) != n or any(len(row) != n for row in s.table):
         return ValidationReport(False, "table dimensions do not match carrier")
-    if s.class_tag == SEMILATTICE:
-        for i, row in enumerate(s.table):
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    return ValidationReport(
-                        False, "meet table entry out of range",
-                        witness=(s.carrier[i], s.carrier[j]))
-    if s.class_tag == METRIC:
-        for i, row in enumerate(s.table):
-            for j, v in enumerate(row):
-                if not isinstance(v, Fraction):
-                    return ValidationReport(
-                        False, "non-Fraction distance",
-                        witness=(s.carrier[i], s.carrier[j]))
     return _PASS
 
 
@@ -157,111 +147,18 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _scaled(t) -> list[list[int]]:
-    """The distances times the common denominator: exact integers."""
-    scale = math.lcm(*[v.denominator for row in t for v in row])
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in t]
-
-
 def validate(s: FiniteStructure) -> ValidationReport:
     """Check every axiom of the structure's class; report the first violation.
 
-    Posets and semilattices take near-quadratic time through bitmasks of up-
-    and down-sets; the metric triangle check scans each pair of points once,
-    on distances scaled to exact integers.
+    After the shape of the table, the class record checks its entries and
+    axioms.  Posets and semilattices take near-quadratic time through
+    bitmasks of up- and down-sets; the metric triangle check scans each pair
+    of points once, on distances scaled to exact integers.
     """
     rep = _shape_check(s)
     if not rep.ok:
         return rep
-    n, t, c = len(s.carrier), s.table, s.carrier
-    if s.class_tag == GRAPH:
-        for i in range(n):
-            if t[i][i]:
-                return ValidationReport(False, "self-loop", witness=(c[i],))
-            for j in range(i + 1, n):
-                if t[i][j] != t[j][i]:
-                    return ValidationReport(False, "adjacency not symmetric",
-                                            witness=(c[i], c[j]))
-    elif s.class_tag == POSET:
-        for i in range(n):
-            if not t[i][i]:
-                return ValidationReport(False, "order not reflexive", witness=(c[i],))
-        for i in range(n):
-            for j in range(n):
-                if i != j and t[i][j] and t[j][i]:
-                    return ValidationReport(False, "order not antisymmetric",
-                                            witness=(c[i], c[j]))
-        # up[i] holds bit k exactly when i <= k.  The order is transitive iff
-        # each up-set is the union of the up-sets of its members.
-        up = list(map(sum, map(itertools.compress, itertools.repeat(_bits(n)), t)))
-        closed = list(map(functools.reduce, itertools.repeat(operator.or_),
-                          map(itertools.compress, itertools.repeat(up), t)))
-        if closed != up:
-            for i in range(n):
-                outside = ~up[i]
-                if closed[i] & outside:
-                    for j in itertools.compress(range(n), t[i]):
-                        if up[j] & outside:
-                            k = _lowest_bit(up[j] & outside)
-                            return ValidationReport(False, "order not transitive",
-                                                    witness=(c[i], c[j], c[k]))
-    elif s.class_tag == METRIC:
-        d = _scaled(t)
-        for i in range(n):
-            if d[i][i] != 0:
-                return ValidationReport(False, "nonzero self-distance", witness=(c[i],))
-            for j in range(n):
-                if i != j and d[i][j] <= 0:
-                    return ValidationReport(False, "non-positive distance",
-                                            witness=(c[i], c[j]))
-                if d[i][j] != d[j][i]:
-                    return ValidationReport(False, "distance not symmetric",
-                                            witness=(c[i], c[j]))
-        for i, di in enumerate(d):
-            for j, dj in enumerate(d):
-                # some k has d(i, k) > d(i, j) + d(j, k)
-                if max(map(operator.sub, di, dj)) > di[j]:
-                    for k in range(n):
-                        if di[k] > di[j] + dj[k]:
-                            return ValidationReport(
-                                False, "triangle inequality violated",
-                                witness=(c[i], c[j], c[k]))
-    elif s.class_tag == SEMILATTICE:
-        # Let z <= x mean z^x == z, and down[x] hold bit z exactly when z <= x
-        # (read off row x, by commutativity).
-        bits, positions, down = _bits(n), range(n), []
-        for i in range(n):
-            if t[i][i] != i:
-                return ValidationReport(False, "meet not idempotent", witness=(c[i],))
-            for j in range(n):
-                if t[i][j] != t[j][i]:
-                    return ValidationReport(False, "meet not commutative",
-                                            witness=(c[i], c[j]))
-            down.append(sum(itertools.compress(bits, map(operator.eq, t[i], positions))))
-        # The idempotent, commutative table is associative iff
-        # down(x^y) == down(x) & down(y) for all x, y.  If so, <= is reflexive
-        # (idempotence), antisymmetric (z = z^x = x^z = x) and transitive
-        # (x <= y gives down(x) = down(x^y), within down(y)), and x^y lies in
-        # down(x^y) = down(x) & down(y), which holds every common lower bound
-        # of x and y: x^y is their greatest lower bound.  A meet satisfies the
-        # condition by definition.
-        for x in range(n):
-            row, dx = t[x], down[x]
-            for y in range(x + 1, n):
-                m, both = row[y], dx & down[y]
-                if down[m] == both:
-                    continue
-                z = _lowest_bit(down[m] ^ both)
-                if both & bits[z]:
-                    # z is below x and y but not below x^y
-                    witness = (z, x, y)
-                else:
-                    # z is below x^y but not below a
-                    a, o = (x, y) if not dx & bits[z] else (y, x)
-                    witness = (a, a, o) if t[m][a] != m else (z, m, a)
-                return ValidationReport(False, "meet not associative",
-                                        witness=tuple(map(c.__getitem__, witness)))
-    return _PASS
+    return RECORDS[s.class_tag].axioms(s)
 
 
 def require_valid(s: FiniteStructure, what: str, constructed: bool = False) -> None:
@@ -368,30 +265,7 @@ def _hom_violation(m: Morphism) -> tuple | None:
     s, t = m.source, m.target
     if s.class_tag != t.class_tag:
         return ("class mismatch",)
-    f = m.positions
-    n = len(f)
-    st, tt = s.table, t.table
-    if s.class_tag == GRAPH:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if st[i][j] and not tt[f[i]][f[j]]:
-                    return (s.carrier[i], s.carrier[j])
-    elif s.class_tag == POSET:
-        for i in range(n):
-            for j in range(n):
-                if st[i][j] and not tt[f[i]][f[j]]:
-                    return (s.carrier[i], s.carrier[j])
-    elif s.class_tag == METRIC:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if tt[f[i]][f[j]] > st[i][j]:
-                    return (s.carrier[i], s.carrier[j])
-    elif s.class_tag == SEMILATTICE:
-        for i in range(n):
-            for j in range(i, n):
-                if f[st[i][j]] != tt[f[i]][f[j]]:
-                    return (s.carrier[i], s.carrier[j])
-    return None
+    return RECORDS[s.class_tag].violation(s, t, m.positions)
 
 
 def is_homomorphism(m: Morphism) -> bool:
@@ -400,19 +274,12 @@ def is_homomorphism(m: Morphism) -> bool:
 
 def _reflects(m: Morphism) -> bool:
     """Embedding condition beyond injectivity: image is an induced copy."""
-    s = m.source
-    if s.class_tag == SEMILATTICE:
-        # Injective homomorphisms are exactly the embeddings.
+    rec = RECORDS[m.source.class_tag]
+    if not rec.reflects:
         return True
     f = m.positions
-    n = len(f)
-    st, tt = s.table, m.target.table
-    if s.class_tag == POSET:
-        return all(st[i][j] == tt[f[i]][f[j]]
-                   for i in range(n) for j in range(n) if i != j)
-    # Graph adjacency and metric distance are symmetric.
-    return all(st[i][j] == tt[f[i]][f[j]]
-               for i in range(n) for j in range(i + 1, n))
+    st, tt = m.source.table, m.target.table
+    return all(st[i][j] == tt[f[i]][f[j]] for i, j in rec.cells(len(f)))
 
 
 def classify(m: Morphism) -> str:
@@ -456,30 +323,13 @@ def _subset_indices(s: FiniteStructure, subset) -> list[int]:
 def induced_substructure(s: FiniteStructure, subset) -> FiniteStructure:
     """Restriction of the tables to `subset` (carrier order preserved)."""
     idx = _subset_indices(s, subset)
-    if s.class_tag == SEMILATTICE:
-        chosen = set(idx)
-        for i in idx:
-            for j in idx:
-                if s.table[i][j] not in chosen:
-                    raise StructureError(
-                        "subset is not meet-closed; use generate() to close it")
-        reindex = {old: new for new, old in enumerate(idx)}
-        table = tuple(tuple(reindex[s.table[i][j]] for j in idx) for i in idx)
-    else:
-        table = tuple(tuple(s.table[i][j] for j in idx) for i in idx)
+    table = RECORDS[s.class_tag].restrict(s.table, idx)
     return FiniteStructure(s.class_tag, tuple(s.carrier[i] for i in idx), table)
 
 
 def generate(s: FiniteStructure, subset) -> FiniteStructure:
-    """Smallest meet-closed superset of `subset`, as an induced substructure."""
-    if s.class_tag != SEMILATTICE:
-        return induced_substructure(s, subset)
-    closed = set(_subset_indices(s, subset))
-    while True:
-        new = {s.table[i][j] for i in closed for j in closed} - closed
-        if not new:
-            break
-        closed |= new
+    """Smallest substructure holding `subset` (its meet closure for semilattices)."""
+    closed = RECORDS[s.class_tag].closure(s.table, set(_subset_indices(s, subset)))
     return induced_substructure(s, [s.carrier[i] for i in sorted(closed)])
 
 
@@ -490,13 +340,11 @@ def meet_closed_subsets(s: FiniteStructure, max_size: int):
     non-empty subset qualifies.  Yields tuples of ids in carrier order.
     """
     n = len(s.carrier)
+    closure = RECORDS[s.class_tag].closure
     for size in range(1, min(max_size, n) + 1):
         for idx in itertools.combinations(range(n), size):
-            if s.class_tag == SEMILATTICE:
-                chosen = set(idx)
-                if any(s.table[i][j] not in chosen for i in idx for j in idx):
-                    continue
-            yield tuple(s.carrier[i] for i in idx)
+            if closure(s.table, set(idx)) == set(idx):
+                yield tuple(s.carrier[i] for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -511,56 +359,21 @@ def _hom_constraints(x: FiniteStructure, y: FiniteStructure):
     it lies in masks[f(i)][f(j)].  Masks are bitmasks over the carrier
     positions of y.  Each condition of a homomorphism is listed once, at the
     last position it involves, so a partial map meets all of them among
-    positions 0..k exactly when it meets those listed up to k.
+    positions 0..k exactly when it meets those listed up to k.  The class
+    record lists them.
     """
-    n, m = len(x.carrier), len(y.carrier)
-    xt, yt = x.table, y.table
+    n = len(x.carrier)
     unary: list[list] = [[] for _ in range(n)]
     binary: list[list] = [[] for _ in range(n)]
-    if n < 2:  # no condition, and no call for the |y|^2 tables
-        return unary, binary
-    bits = _bits(m)
-
-    def rows(t) -> list[int]:
-        return [sum(itertools.compress(bits, row)) for row in t]
-
-    tag = x.class_tag
-    if tag == GRAPH:
-        adjacent = rows(yt)
-        for k in range(n):
-            unary[k] = [(i, adjacent) for i in range(k) if xt[i][k]]
-    elif tag == POSET:
-        up, down = rows(yt), rows(zip(*yt))
-        for k in range(n):
-            unary[k] = [(i, up) for i in range(k) if xt[i][k]] + \
-                [(i, down) for i in range(k) if xt[k][i]]
-    elif tag == METRIC:
-        # one ball {v : d(a, v) <= d} per point a of y and distance d of x
-        balls: dict[Fraction, list[int]] = {}
-        for k in range(n):
-            for i in range(k):
-                d = xt[i][k]
-                if d not in balls:
-                    balls[d] = rows([[e <= d for e in row] for row in yt])
-                unary[k].append((i, balls[d]))
-    else:
-        below = rows([[b == v for v, b in enumerate(row)] for row in yt])  # v <= a
-        solves = [[0] * m for _ in range(m)]  # solves[a][b]: v with a ^ v = b
-        for a, row in enumerate(yt):
-            for v, b in enumerate(row):
-                solves[a][b] |= bits[v]
-        meets = [[bits[b] for b in row] for row in yt]
-        # the equation x_i ^ x_j = x_h, i < j
-        for i in range(n):
-            for j in range(i + 1, n):
-                h = xt[i][j]
-                if h == j:  # x_j <= x_i
-                    unary[j].append((i, below))
-                elif h < j:
-                    binary[j].append((i, h, solves))
-                else:
-                    binary[h].append((i, j, meets))
+    if n > 1:  # no condition otherwise, and no call for the |y|^2 tables
+        RECORDS[x.class_tag].constraints(x.table, y.table, unary, binary)
     return unary, binary
+
+
+def _masks(rows, m: int) -> list[int]:
+    """Each boolean row over m target positions as a bitmask."""
+    bits = _bits(m)
+    return [sum(itertools.compress(bits, row)) for row in rows]
 
 
 def enumerate_homs(x: FiniteStructure, y: FiniteStructure,
@@ -631,11 +444,8 @@ class ExtensionCode:
     """Canonical datum of a one-point extension over a fixed base carrier.
 
     Two one-point extensions of the same base are isomorphic over the base iff
-    their codes are equal.  The code is expressed in base carrier order:
-      graph        -- tuple of neighbor ids
-      poset        -- (tuple of strictly-below ids, tuple of strictly-above ids)
-      metric       -- tuple of Fractions (the Katetov distance vector)
-      semilattice  -- tuple of (base id, or None meaning the new point itself)
+    their codes are equal.  The code is expressed in base carrier order, in
+    the form the class's record describes.
     """
 
     class_tag: str
@@ -643,23 +453,10 @@ class ExtensionCode:
     code: tuple
 
 
-def _code_reader(s: FiniteStructure, base: tuple[str, ...]):
-    """Reader of raw code tuples over `base`: carrier position -> code.
-
-    The one per-class rule for reading a point's extension code off the
-    tables; `extension_code` and `point_codes` both go through it.
-    """
-    t, c = s.table, s.carrier
-    cols = tuple((b, s.index(b)) for b in base)
-    tag = s.class_tag
-    if tag == GRAPH:
-        return lambda z: tuple(b for b, i in cols if t[z][i])
-    if tag == POSET:
-        return lambda z: (tuple(b for b, i in cols if t[i][z]),
-                          tuple(b for b, i in cols if t[z][i]))
-    if tag == METRIC:
-        return lambda z: tuple(t[z][i] for _, i in cols)
-    return lambda z: tuple(None if t[z][i] == z else c[t[z][i]] for _, i in cols)
+def _read_codes(s: FiniteStructure, base: tuple[str, ...], points) -> list[tuple]:
+    """Raw code tuples over `base` of the points at the given positions of `s`;
+    `extension_code` and `point_codes` both go through it."""
+    return RECORDS[s.class_tag].read_codes(s, tuple((b, s.index(b)) for b in base), points)
 
 
 def extension_code(s: FiniteStructure, base: tuple[str, ...], z: str) -> ExtensionCode:
@@ -671,55 +468,40 @@ def extension_code(s: FiniteStructure, base: tuple[str, ...], z: str) -> Extensi
     """
     if z in base:
         raise StructureError(f"{z!r} lies in the base")
-    return ExtensionCode(s.class_tag, tuple(base), _code_reader(s, base)(s.index(z)))
+    return ExtensionCode(s.class_tag, tuple(base), _read_codes(s, base, [s.index(z)])[0])
 
 
 def point_codes(s: FiniteStructure, base: tuple[str, ...]) -> list[tuple]:
     """Raw code tuple of every point of `s` outside `base`, in carrier order."""
-    read = _code_reader(s, base)
     skip = set(base)
-    return [read(z) for z, x in enumerate(s.carrier) if x not in skip]
+    return _read_codes(s, base, [z for z, x in enumerate(s.carrier) if x not in skip])
+
+
+def _base_or_empty(rec: ClassRecord, base: FiniteStructure | None) -> FiniteStructure:
+    """`base`, or for None the empty base, where the class admits one."""
+    if base is not None:
+        return base
+    if not rec.empty_base:
+        raise StructureError(f"empty base is not admissible for class {rec.tag}")
+    return FiniteStructure(rec.tag, (), ())
 
 
 def apply_code(base: FiniteStructure | None, code: ExtensionCode,
                new_id: str) -> FiniteStructure:
     """Build the one-point extension described by `code` with the fresh id `new_id`.
 
-    `base` is None exactly for the empty base (graphs and posets only), in which
-    case the result is the one-point structure.
+    `base` is None exactly for the empty base, in the classes that admit one;
+    the result is then the one-point structure.
     """
-    tag = code.class_tag
-    if base is None or not code.base_carrier:
-        if tag == GRAPH:
-            return FiniteStructure(GRAPH, (new_id,), ((False,),))
-        if tag == POSET:
-            return FiniteStructure(POSET, (new_id,), ((True,),))
-        raise StructureError(f"empty base is not admissible for class {tag}")
-    if tuple(base.carrier) != code.base_carrier:
+    rec = class_record(code.class_tag)
+    base = _base_or_empty(rec, base)
+    if base.carrier != code.base_carrier:
         raise StructureError("code does not match the base carrier")
     if new_id in base.carrier:
         raise StructureError("new id collides with the base carrier")
-    n = len(base.carrier)
-    carrier = base.carrier + (new_id,)
-    if tag == GRAPH:
-        nb = set(code.code)
-        row = tuple(base.carrier[i] in nb for i in range(n))
-        table = tuple(base.table[i] + (row[i],) for i in range(n)) + (row + (False,),)
-    elif tag == POSET:
-        lo, up = set(code.code[0]), set(code.code[1])
-        below = tuple(base.carrier[i] in lo for i in range(n))
-        above = tuple(base.carrier[i] in up for i in range(n))
-        table = tuple(base.table[i] + (below[i],) for i in range(n)) + (above + (True,),)
-    elif tag == METRIC:
-        vec = code.code
-        table = tuple(base.table[i] + (vec[i],) for i in range(n)) \
-            + (vec + (Fraction(0),),)
-    else:
-        vals = [n if v is None else base.index(v) for v in code.code]
-        table = tuple(base.table[i] + (vals[i],) for i in range(n)) \
-            + (tuple(vals) + (n,),)
-    ext = FiniteStructure(tag, carrier, table)
-    return ext
+    column, row = rec.write_code(base, code.code)
+    table = tuple([r + (v,) for r, v in zip(base.table, column)]) + (row,)
+    return FiniteStructure(rec.tag, base.carrier + (new_id,), table)
 
 
 def katetov_admissible(base: FiniteStructure, vec: tuple[Fraction, ...]) -> bool:
@@ -735,54 +517,36 @@ def katetov_admissible(base: FiniteStructure, vec: tuple[Fraction, ...]) -> bool
     return True
 
 
+def _grid(rec: ClassRecord, grid) -> tuple[Fraction, ...] | None:
+    """The sorted distance grid of a class that draws distances from one;
+    None for the others, which ignore `grid`."""
+    if not rec.grid:
+        return None
+    if not grid:
+        raise StructureError(f"{rec.tag} enumeration requires a distance grid")
+    return tuple(sorted(Fraction(g) for g in grid))
+
+
 def enumerate_codes(class_tag: str, base: FiniteStructure | None,
                     grid: tuple[Fraction, ...] | None = None) -> list[ExtensionCode]:
     """All admissible one-point extension codes over `base`, in canonical order.
 
-    The metric class requires a finite distance `grid`.  For the empty base
-    (graphs and posets) there is exactly one code: the unconstrained fresh point.
+    The metric class requires a finite distance `grid`; the others ignore it.
+    For the empty base (graphs and posets) there is exactly one code: the
+    unconstrained fresh point.
     """
-    if base is None:
-        if class_tag == GRAPH:
-            return [ExtensionCode(GRAPH, (), ())]
-        if class_tag == POSET:
-            return [ExtensionCode(POSET, (), ((), ()))]
-        raise StructureError(f"empty base is not admissible for class {class_tag}")
+    rec = class_record(class_tag)
+    base = _base_or_empty(rec, base)
     if base.class_tag != class_tag:
         raise StructureError("base class mismatch")
     bc = base.carrier
-    n = len(bc)
-    out: list[ExtensionCode] = []
-    if class_tag == GRAPH:
-        for mask in itertools.product((False, True), repeat=n):
-            out.append(ExtensionCode(GRAPH, bc,
-                                     tuple(b for b, m in zip(bc, mask) if m)))
-        return out
-    if class_tag == METRIC:
-        if not grid:
-            raise StructureError("metric extension enumeration requires a distance grid")
-        grid = tuple(sorted(Fraction(g) for g in grid))
-        for vec in itertools.product(grid, repeat=n):
-            if katetov_admissible(base, vec):
-                out.append(ExtensionCode(METRIC, bc, vec))
-        return out
-    # Poset and semilattice: candidate codes are screened by validating the
-    # extended table, which is complete by definition.
+    codes = [ExtensionCode(class_tag, bc, c) for c in rec.codes(base, _grid(rec, grid))]
+    if not rec.codes_screened or not bc:  # one point is a structure of every class
+        return codes
+    # The candidates are screened by validating the extended table, which is
+    # complete by definition.
     new = _fresh_id("x", set(bc))
-    if class_tag == POSET:
-        for lo_mask in itertools.product((False, True), repeat=n):
-            lo = tuple(b for b, m in zip(bc, lo_mask) if m)
-            for up_mask in itertools.product((False, True), repeat=n):
-                up = tuple(b for b, m in zip(bc, up_mask) if m)
-                code = ExtensionCode(POSET, bc, (lo, up))
-                if validate(apply_code(base, code, new)).ok:
-                    out.append(code)
-        return out
-    for vals in itertools.product((None,) + bc, repeat=n):
-        code = ExtensionCode(SEMILATTICE, bc, vals)
-        if validate(apply_code(base, code, new)).ok:
-            out.append(code)
-    return out
+    return [code for code in codes if validate(apply_code(base, code, new)).ok]
 
 
 def _fresh_id(stem: str, taken: set[str]) -> str:
@@ -803,3 +567,442 @@ def fresh_ids(stem: str, count: int, taken) -> list[str]:
         taken.add(cand)
         out.append(cand)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Class records
+# ---------------------------------------------------------------------------
+
+class ClassRecord:
+    """What one class of structures means: each class-specific rule, once.
+
+    One subclass per class states its rules, and `RECORDS` holds an instance
+    of each by tag; the operations of this package look the record up and
+    never branch on the tag.  Every rule takes whole tables or structures.
+    The rules that need a layer above this module -- the 1PHEP push, the
+    free-amalgam fill and the Cayley root -- are one function per class in
+    `pushout` and `lifting`, looked up by tag in the same way.
+
+    Each subclass states, for a structure s, a table t and a size n:
+      tag                     the class tag
+      row_shape               (entries per document row, how many of them
+                              are carrier indices)
+      blank(n)                the n x n table as lists, its diagonal set
+      axioms(s)               the first violated entry type or axiom of a
+                              table of the right shape, as a ValidationReport
+      violation(s, t, f)      the first pair of s whose relation, distance
+                              or meet the positions f into t fail to
+                              preserve, or None
+      constraints(xt, yt, unary, binary)
+                              the hom enumeration's constraints, written
+                              into the two lists (see `_hom_constraints`)
+      read_codes(s, cols, points)
+                              the codes of the points (positions) over the
+                              base columns ((id, position), ...)
+      write_code(base, code)  the new point's column over the base, its row
+      codes(base, grid)       the candidate codes over `base`, in order
+      rows(t, cells)          the document rows
+      read_rows(t, rows)      writes rows of the right shape into a blank table
+      test_values(n, grid)    the values each test-object cell takes
+    """
+
+    tag: str
+    row_shape: tuple[int, int]
+    symmetric = True        # the cells are the pairs i < j, else all i != j
+    reflects = True         # embeddings also reflect the table on the cells
+    empty_base = False      # a point may be adjoined over the empty base
+    grid = False            # codes and test objects draw distances from a grid
+    codes_screened = True   # candidate codes are kept if their extension validates
+    tests_screened = True   # test-object tables are kept if they validate
+    order = None            # t -> the partial order as a boolean matrix
+
+    def cells(self, n: int):
+        """The cells of an n x n table that carry its information."""
+        if self.symmetric:
+            return itertools.combinations(range(n), 2)
+        return itertools.permutations(range(n), 2)
+
+    def closure(self, t, chosen: set[int]) -> set[int]:
+        """The positions of the smallest substructure holding `chosen`."""
+        return chosen
+
+    def restrict(self, t, idx: list[int]) -> tuple:
+        """The table induced on sorted positions closed under `closure`."""
+        return tuple(tuple(t[i][j] for j in idx) for i in idx)
+
+    def dot(self, s: FiniteStructure) -> list[str]:
+        """The DOT lines of s but the closing brace: the Hasse diagram of
+        its order.  None for a class with no DOT form."""
+        leq, c = self.order(s.table), s.carrier
+        n = len(c)
+        lines = ["digraph {", "  rankdir=BT;"] + [f'  "{x}";' for x in c]
+        for i in range(n):
+            for j in range(n):
+                if i == j or not leq[i][j]:
+                    continue
+                if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
+                    continue
+                lines.append(f'  "{c[i]}" -> "{c[j]}";')
+        return lines
+
+
+def _subsets(ids: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """Every sub-tuple of `ids`, in the order of their membership masks."""
+    return [tuple(itertools.compress(ids, mask))
+            for mask in itertools.product((False, True), repeat=len(ids))]
+
+
+class _Graph(ClassRecord):
+    """The table is the adjacency matrix, of bools.  A code is the tuple of
+    neighbour ids.  A document row [i, j], i < j, is an edge."""
+
+    tag, row_shape = GRAPH, (2, 2)
+    empty_base = True
+    codes_screened = tests_screened = False
+
+    def blank(self, n):
+        return [[False] * n for _ in range(n)]
+
+    def axioms(self, s):
+        n, t, c = len(s.carrier), s.table, s.carrier
+        for i in range(n):
+            if t[i][i]:
+                return ValidationReport(False, "self-loop", witness=(c[i],))
+            for j in range(i + 1, n):
+                if t[i][j] != t[j][i]:
+                    return ValidationReport(False, "adjacency not symmetric",
+                                            witness=(c[i], c[j]))
+        return _PASS
+
+    def violation(self, s, t, f):
+        st, tt = s.table, t.table
+        for i, j in itertools.combinations(range(len(f)), 2):
+            if st[i][j] and not tt[f[i]][f[j]]:
+                return (s.carrier[i], s.carrier[j])
+        return None
+
+    def constraints(self, xt, yt, unary, binary):
+        adjacent = _masks(yt, len(yt))
+        for k in range(len(xt)):
+            unary[k] = [(i, adjacent) for i in range(k) if xt[i][k]]
+
+    def dot(self, s):
+        t, c = s.table, s.carrier
+        return (["graph {"] + [f'  "{x}";' for x in c]
+                + [f'  "{c[i]}" -- "{c[j]}";' for i, j in self.cells(len(c)) if t[i][j]])
+
+    def read_codes(self, s, cols, points):
+        t = s.table
+        return [tuple(b for b, i in cols if t[z][i]) for z in points]
+
+    def write_code(self, base, code):
+        neighbours = set(code)
+        column = tuple(x in neighbours for x in base.carrier)
+        return column, column + (False,)
+
+    def codes(self, base, grid):
+        return _subsets(base.carrier)
+
+    def rows(self, t, cells):
+        return [[i, j] for i, j in cells if t[i][j]]
+
+    def read_rows(self, t, rows):
+        for i, j in rows:
+            t[i][j] = t[j][i] = True
+
+    def test_values(self, n, grid):
+        return (False, True)
+
+
+class _Poset(ClassRecord):
+    """The table is the full reflexive <= relation, of bools.  A code is
+    (the ids strictly below, the ids strictly above).  A document row [i, j],
+    i != j, is a pair i <= j."""
+
+    tag, row_shape = POSET, (2, 2)
+    symmetric = False
+    empty_base = True
+    rows, test_values = _Graph.rows, _Graph.test_values
+
+    def blank(self, n):
+        return [[i == j for j in range(n)] for i in range(n)]
+
+    def axioms(self, s):
+        n, t, c = len(s.carrier), s.table, s.carrier
+        for i in range(n):
+            if not t[i][i]:
+                return ValidationReport(False, "order not reflexive", witness=(c[i],))
+        for i in range(n):
+            for j in range(n):
+                if i != j and t[i][j] and t[j][i]:
+                    return ValidationReport(False, "order not antisymmetric",
+                                            witness=(c[i], c[j]))
+        # up[i] holds bit k exactly when i <= k.  The order is transitive iff
+        # each up-set is the union of the up-sets of its members.
+        up = list(map(sum, map(itertools.compress, itertools.repeat(_bits(n)), t)))
+        closed = list(map(functools.reduce, itertools.repeat(operator.or_),
+                          map(itertools.compress, itertools.repeat(up), t)))
+        if closed != up:
+            for i in range(n):
+                outside = ~up[i]
+                if closed[i] & outside:
+                    for j in itertools.compress(range(n), t[i]):
+                        if up[j] & outside:
+                            k = _lowest_bit(up[j] & outside)
+                            return ValidationReport(False, "order not transitive",
+                                                    witness=(c[i], c[j], c[k]))
+        return _PASS
+
+    def violation(self, s, t, f):
+        st, tt = s.table, t.table
+        for i, j in itertools.product(range(len(f)), repeat=2):
+            if st[i][j] and not tt[f[i]][f[j]]:
+                return (s.carrier[i], s.carrier[j])
+        return None
+
+    def constraints(self, xt, yt, unary, binary):
+        up, down = _masks(yt, len(yt)), _masks(zip(*yt), len(yt))
+        for k in range(len(xt)):
+            unary[k] = [(i, up) for i in range(k) if xt[i][k]] + \
+                [(i, down) for i in range(k) if xt[k][i]]
+
+    def order(self, t):
+        return t
+
+    def read_codes(self, s, cols, points):
+        t = s.table
+        return [(tuple(b for b, i in cols if t[i][z]), tuple(b for b, i in cols if t[z][i]))
+                for z in points]
+
+    def write_code(self, base, code):
+        below, above = map(set, code)
+        return (tuple(x in below for x in base.carrier),
+                tuple(x in above for x in base.carrier) + (True,))
+
+    def codes(self, base, grid):
+        subsets = _subsets(base.carrier)
+        return [(below, above) for below in subsets for above in subsets]
+
+    def read_rows(self, t, rows):
+        for i, j in rows:
+            t[i][j] = True
+
+
+class _Metric(ClassRecord):
+    """The table holds the distances, as Fractions.  A code is the Katetov
+    distance vector.  A document row [i, j, "p/q"], i < j, is a distance."""
+
+    tag, row_shape = METRIC, (3, 2)
+    grid = True
+    codes_screened = False  # the candidates are the Katetov vectors
+    dot = None
+
+    def blank(self, n):
+        return [[Fraction(0)] * n for _ in range(n)]
+
+    def axioms(self, s):
+        n, t, c = len(s.carrier), s.table, s.carrier
+        for i, row in enumerate(t):
+            for j, v in enumerate(row):
+                if not isinstance(v, Fraction):
+                    return ValidationReport(False, "non-Fraction distance",
+                                            witness=(c[i], c[j]))
+        # the distances times the common denominator: exact integers
+        scale = math.lcm(*[v.denominator for row in t for v in row])
+        d = [[v.numerator * (scale // v.denominator) for v in row] for row in t]
+        for i in range(n):
+            if d[i][i] != 0:
+                return ValidationReport(False, "nonzero self-distance", witness=(c[i],))
+            for j in range(n):
+                if i != j and d[i][j] <= 0:
+                    return ValidationReport(False, "non-positive distance",
+                                            witness=(c[i], c[j]))
+                if d[i][j] != d[j][i]:
+                    return ValidationReport(False, "distance not symmetric",
+                                            witness=(c[i], c[j]))
+        for i, di in enumerate(d):
+            for j, dj in enumerate(d):
+                # some k has d(i, k) > d(i, j) + d(j, k)
+                if max(map(operator.sub, di, dj)) > di[j]:
+                    for k in range(n):
+                        if di[k] > di[j] + dj[k]:
+                            return ValidationReport(
+                                False, "triangle inequality violated",
+                                witness=(c[i], c[j], c[k]))
+        return _PASS
+
+    def violation(self, s, t, f):
+        st, tt = s.table, t.table
+        for i, j in itertools.combinations(range(len(f)), 2):
+            if tt[f[i]][f[j]] > st[i][j]:
+                return (s.carrier[i], s.carrier[j])
+        return None
+
+    def constraints(self, xt, yt, unary, binary):
+        # one ball {v : d(a, v) <= d} per point a of y and distance d of x
+        balls: dict[Fraction, list[int]] = {}
+        for k in range(len(xt)):
+            for i in range(k):
+                d = xt[i][k]
+                if d not in balls:
+                    balls[d] = _masks([[e <= d for e in row] for row in yt], len(yt))
+                unary[k].append((i, balls[d]))
+
+    def read_codes(self, s, cols, points):
+        t = s.table
+        return [tuple(t[z][i] for _, i in cols) for z in points]
+
+    def write_code(self, base, code):
+        return code, code + (Fraction(0),)
+
+    def codes(self, base, grid):
+        return [vec for vec in itertools.product(grid, repeat=len(base.carrier))
+                if katetov_admissible(base, vec)]
+
+    def rows(self, t, cells):
+        return [[i, j, str(t[i][j])] for i, j in cells]
+
+    def read_rows(self, t, rows):
+        for i, j, d in rows:
+            if not isinstance(d, str):
+                raise StructureError(f"distance {d!r} is not a \"p/q\" string")
+            try:
+                t[i][j] = t[j][i] = Fraction(d)
+            except (ValueError, ZeroDivisionError):
+                raise StructureError(f"distance {d!r} is not a rational number") from None
+            if str(t[i][j]) != d:
+                raise StructureError(f"distance {d!r} is not written {str(t[i][j])!r}")
+
+    def test_values(self, n, grid):
+        return grid
+
+
+class _Semilattice(ClassRecord):
+    """The table holds the carrier position of each meet.  A code holds, per
+    base id, the meet with the new point: a base id, or None for the new
+    point itself.  A document row [i, j, k], i < j, is a meet.  Injective
+    homomorphisms are exactly the embeddings."""
+
+    tag, row_shape = SEMILATTICE, (3, 3)
+    reflects = False
+
+    def blank(self, n):
+        return [[i if i == j else None for j in range(n)] for i in range(n)]
+
+    def axioms(self, s):
+        n, t, c = len(s.carrier), s.table, s.carrier
+        for i, row in enumerate(t):
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    return ValidationReport(False, "meet table entry out of range",
+                                            witness=(c[i], c[j]))
+        # Let z <= x mean z^x == z, and down[x] hold bit z exactly when z <= x
+        # (read off row x, by commutativity).
+        bits, positions, down = _bits(n), range(n), []
+        for i in range(n):
+            if t[i][i] != i:
+                return ValidationReport(False, "meet not idempotent", witness=(c[i],))
+            for j in range(n):
+                if t[i][j] != t[j][i]:
+                    return ValidationReport(False, "meet not commutative",
+                                            witness=(c[i], c[j]))
+            down.append(sum(itertools.compress(bits, map(operator.eq, t[i], positions))))
+        # The idempotent, commutative table is associative iff
+        # down(x^y) == down(x) & down(y) for all x, y.  If so, <= is reflexive
+        # (idempotence), antisymmetric (z = z^x = x^z = x) and transitive
+        # (x <= y gives down(x) = down(x^y), within down(y)), and x^y lies in
+        # down(x^y) = down(x) & down(y), which holds every common lower bound
+        # of x and y: x^y is their greatest lower bound.  A meet satisfies the
+        # condition by definition.
+        for x in range(n):
+            row, dx = t[x], down[x]
+            for y in range(x + 1, n):
+                m, both = row[y], dx & down[y]
+                if down[m] == both:
+                    continue
+                z = _lowest_bit(down[m] ^ both)
+                if both & bits[z]:
+                    # z is below x and y but not below x^y
+                    witness = (z, x, y)
+                else:
+                    # z is below x^y but not below a
+                    a, o = (x, y) if not dx & bits[z] else (y, x)
+                    witness = (a, a, o) if t[m][a] != m else (z, m, a)
+                return ValidationReport(False, "meet not associative",
+                                        witness=tuple(map(c.__getitem__, witness)))
+        return _PASS
+
+    def violation(self, s, t, f):
+        st, tt = s.table, t.table
+        for i, j in itertools.combinations_with_replacement(range(len(f)), 2):
+            if f[st[i][j]] != tt[f[i]][f[j]]:
+                return (s.carrier[i], s.carrier[j])
+        return None
+
+    def constraints(self, xt, yt, unary, binary):
+        m = len(yt)
+        bits = _bits(m)
+        below = _masks([[b == v for v, b in enumerate(row)] for row in yt], m)  # v <= a
+        solves = [[0] * m for _ in range(m)]  # solves[a][b]: v with a ^ v = b
+        for a, row in enumerate(yt):
+            for v, b in enumerate(row):
+                solves[a][b] |= bits[v]
+        meets = [[bits[b] for b in row] for row in yt]
+        # the equation x_i ^ x_j = x_h, i < j
+        for i in range(len(xt)):
+            for j in range(i + 1, len(xt)):
+                h = xt[i][j]
+                if h == j:  # x_j <= x_i
+                    unary[j].append((i, below))
+                elif h < j:
+                    binary[j].append((i, h, solves))
+                else:
+                    binary[h].append((i, j, meets))
+
+    def closure(self, t, chosen):
+        closed = set(chosen)
+        while True:
+            new = {t[i][j] for i in closed for j in closed} - closed
+            if not new:
+                return closed
+            closed |= new
+
+    def restrict(self, t, idx):
+        at = {old: new for new, old in enumerate(idx)}
+        try:
+            return tuple(tuple(at[t[i][j]] for j in idx) for i in idx)
+        except KeyError:
+            raise StructureError(
+                "subset is not meet-closed; use generate() to close it") from None
+
+    def order(self, t):
+        return [[t[i][j] == i for j in range(len(t))] for i in range(len(t))]
+
+    def read_codes(self, s, cols, points):
+        t, c = s.table, s.carrier
+        return [tuple(None if t[z][i] == z else c[t[z][i]] for _, i in cols)
+                for z in points]
+
+    def write_code(self, base, code):
+        n = len(base.carrier)
+        meets = tuple([n if v is None else base.index(v) for v in code])
+        return meets, meets + (n,)
+
+    def codes(self, base, grid):
+        return itertools.product((None,) + base.carrier, repeat=len(base.carrier))
+
+    def rows(self, t, cells):
+        return [[i, j, t[i][j]] for i, j in cells]
+
+    def read_rows(self, t, rows):
+        for i, j, k in rows:
+            t[i][j] = t[j][i] = k
+
+    def test_values(self, n, grid):
+        return range(n)
+
+
+RECORDS: dict[str, ClassRecord] = {
+    r.tag: r for r in (_Graph(), _Poset(), _Metric(), _Semilattice())}
+
+CLASS_TAGS = tuple(RECORDS)

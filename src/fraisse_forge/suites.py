@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .limits import (CatalogParams, build_stages, build_star,
                      check_weak_homogeneity, enumerate_extensions)
-from .lifting import cayley_demo, endomorphisms, lift
+from .lifting import _composition_mismatch, cayley_demo, endomorphisms, lift
 from .pushout import Span, all_structures, pushout_1phep, verify_universal_property
-from .structures import (METRIC, BoundExceeded, FiniteStructure, apply_code,
+from .structures import (BoundExceeded, FiniteStructure, apply_code,
                          enumerate_codes, enumerate_homs, is_surjection,
                          morphism_from_dict, validate)
 
@@ -37,13 +37,13 @@ def enumerate_1phep_spans(class_tag: str, max_size: int,
     """All spans (B -> C one-point extension, B ->> B') with |B|, |B'| bounded.
 
     Bases, extension codes, surjection targets, and surjections are each
-    enumerated exhaustively in deterministic order.
+    enumerated exhaustively in deterministic order.  Only metric spaces read
+    the distance `grid`.
     """
-    g = grid if class_tag == METRIC else None
-    bases = all_structures(class_tag, max_size, g)
+    bases = all_structures(class_tag, max_size, grid)
     targets = bases
     for b in bases:
-        codes = enumerate_codes(class_tag, b, grid=g)
+        codes = enumerate_codes(class_tag, b, grid=grid)
         for code in codes:
             c = apply_code(b, code, "x*")
             incl = morphism_from_dict(b, c, {x: x for x in b.carrier})
@@ -59,8 +59,7 @@ def suite_pushout_oracle(class_tag: str, max_size: int = 3,
                          grid: tuple[Fraction, ...] = DEFAULT_ORACLE_GRID) -> dict:
     """Every bounded 1PHEP span's pushout passes the brute-force
     universal-property oracle against all bounded same-class test objects."""
-    g = grid if class_tag == METRIC else None
-    test_objects = all_structures(class_tag, max_size, g)
+    test_objects = all_structures(class_tag, max_size, grid)
     checked = 0
     failures = []
     skipped = []
@@ -121,11 +120,11 @@ def suite_functoriality(root: FiniteStructure, params: CatalogParams) -> dict:
         hat_phi = lifts[phi.mapping].lifted
         for psi in endos:
             checked += 1
-            comp = psi.compose(phi)
-            if lifts[psi.mapping].lifted.compose(hat_phi).mapping \
-                    != lifts[comp.mapping].lifted.mapping:
-                failures.append({"law": "composition",
-                                 "phi": list(phi.mapping), "psi": list(psi.mapping)})
+            mismatch = _composition_mismatch(lifts[psi.mapping].lifted, hat_phi,
+                                             lifts[psi.compose(phi).mapping].lifted)
+            if mismatch is not None:
+                failures.append({"law": "composition", "phi": list(phi.mapping),
+                                 "psi": list(psi.mapping), "point": list(mismatch)})
     return {"suite": "functoriality", "class": root.class_tag,
             "passed": not failures, "checked": checked, "failures": failures,
             "skipped": [], "endomorphisms": len(endos),

@@ -1,12 +1,14 @@
 """Lifting root endomorphisms to the star and Cayley representations."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, CatalogParams,
-                           InternalConsistencyError, Span, StructureError,
+                           InternalConsistencyError, Morphism, Span,
+                           StructureError, suites,
                            build_stages, build_star, lifting,
                            cayley_demo, endomorphisms, enumerate_extensions,
                            identity_morphism, is_homomorphism, lift,
@@ -194,6 +196,46 @@ class TestFunctoriality:
         endos = endomorphisms(root)
         rep = verify_functoriality(endos[0], endos[0], star, cat)
         assert rep.passed and rep.mismatch is None
+
+
+def swap_with_wrong_lift(monkeypatch, module):
+    """The swap of edgeless_graph(2), its star and catalog, and the first
+    star point x with lift(swap)(lift(swap)(x)) != x once `module.lift`
+    fixes one star point that the swap's true lift moves; with the ids of
+    both images."""
+    root = edgeless_graph(2)
+    star, cat = star_of(root, CatalogParams(2))
+    swap = morphism_from_dict(root, root, {"v0": "v1", "v1": "v0"})
+    real = lifting.lift
+    true = real(swap, star, cat).lifted.positions
+    k = next(k for k, p in enumerate(true) if p != k)
+    wrong = true[:k] + (k,) + true[k + 1:]
+
+    def fake(phi, star, catalog):
+        out = real(phi, star, catalog)
+        if phi != swap:
+            return out
+        return dataclasses.replace(out, lifted=Morphism(
+            star.object, star.object, tuple(star.object.carrier[p] for p in wrong)))
+
+    monkeypatch.setattr(module, "lift", fake)
+    ids = star.object.carrier
+    x = next(x for x in range(len(ids)) if wrong[wrong[x]] != x)
+    return swap, star, cat, (ids[x], ids[wrong[wrong[x]]], ids[x])
+
+
+class TestCompositionWitness:
+    def test_verify_functoriality_names_the_point(self, monkeypatch):
+        swap, star, cat, point = swap_with_wrong_lift(monkeypatch, lifting)
+        rep = verify_functoriality(swap, swap, star, cat)
+        assert not rep.passed and rep.mismatch == point
+
+    def test_suite_names_phi_psi_and_the_point(self, monkeypatch):
+        swap, star, cat, point = swap_with_wrong_lift(monkeypatch, suites)
+        report = suites.suite_functoriality(edgeless_graph(2), CatalogParams(2))
+        assert not report["passed"]
+        assert {"law": "composition", "phi": ["v1", "v0"], "psi": ["v1", "v0"],
+                "point": list(point)} in report["failures"]
 
 
 class TestStagewiseLifting:

@@ -174,6 +174,21 @@ class TestOracle:
         rep = verify_universal_property(bogus, all_structures(GRAPH, 2))
         assert not rep.passed
 
+    def test_oracle_checks_the_legs_it_is_given(self):
+        # the new point x is adjacent to v0, but the object drops that edge:
+        # the square commutes and every cocone has one mediator, yet the
+        # left leg is not a homomorphism
+        b = edgeless_graph(1)
+        incl, c = embed_into_code_extension(b, ExtensionCode(GRAPH, b.carrier, ("v0",)))
+        obj = edgeless_graph(2)
+        sq = PushoutSquare(Span(incl, identity_morphism(b)), obj,
+                           morphism_from_dict(c, obj, {"v0": "v0", "x": "v1"}),
+                           morphism_from_dict(b, obj, {"v0": "v0"}), witness={})
+        rep = verify_universal_property(sq, all_structures(GRAPH, 2))
+        assert not rep.passed
+        assert rep.failures == (("left leg", ("v0", "x"), "not a homomorphism"),)
+        assert rep.objects_tested == rep.cocones_checked == 0
+
     def test_oracle_skips_beyond_bound(self):
         b = edgeless_graph(1)
         incl, c = embed_into_code_extension(b, ExtensionCode(GRAPH, b.carrier, ()))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, BoundExceeded,
+from fraisse_forge import (CLASS_TAGS, GRAPH, METRIC, POSET, SEMILATTICE,
+                           BoundExceeded,
                            EMBEDDING, HOM, ISOMORPHISM, NOT_HOM, SURJECTION,
                            ExtensionCode, FiniteStructure, Morphism,
                            StructureError, apply_code, classify,
@@ -369,15 +370,15 @@ class TestEnumerateHoms:
 
 class TestExtensionCodes:
     def test_roundtrip_all_classes(self):
-        bases = [edgeless_graph(2), antichain(2), simplex(2, 1),
-                 free_semilattice(2)]
-        grids = {METRIC: (Fraction(1), Fraction(2))}
-        for base in bases:
-            for code in enumerate_codes(base.class_tag, base,
-                                        grid=grids.get(base.class_tag)):
-                ext = apply_code(base, code, "new")
-                assert validate(ext).ok
-                assert extension_code(ext, base.carrier, "new") == code
+        # the record's code writer and reader are inverse on every base of
+        # at most three points
+        grid = (Fraction(1), Fraction(2), Fraction(3))
+        for tag in CLASS_TAGS:
+            for base in all_structures(tag, 3, grid):
+                for code in enumerate_codes(tag, base, grid=grid):
+                    ext = apply_code(base, code, "new")
+                    assert validate(ext).ok
+                    assert extension_code(ext, base.carrier, "new") == code
 
     def test_read_in_star_all_classes(self):
         # each arm's fresh point shares the star with every other arm and

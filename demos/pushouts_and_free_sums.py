@@ -5,14 +5,15 @@ Pushouts along surjections and free sums
 A 1PHEP span is a one-point extension B -> C together with a surjection
 B ->> B'.  Its pushout extends the surjection over the new point; the result
 is checked here against a brute-force universal-property oracle.  Free sums
-glue many one-point extensions onto a shared root at once.
+glue many one-point extensions onto a shared root at once; each arm is an
+extension code over a base in the root, with a name for its new point.
 """
 
 from fractions import Fraction
 
-from fraisse_forge import (AmalgamPair, ExtensionCode, RootedMultiAmalgam,
-                           Span, apply_code, free_sum, morphism_from_dict,
-                           pushout_1phep, verify_universal_property)
+from fraisse_forge import (ExtensionCode, Span, apply_code, free_sum,
+                           morphism_from_dict, pushout_1phep,
+                           verify_universal_property)
 from fraisse_forge.presets import free_semilattice, semilattice_from_meets, simplex
 from fraisse_forge.pushout import all_structures
 
@@ -37,9 +38,9 @@ print("universal property against all test objects of size <= 3:",
 
 root = simplex(2, 1)  # two points at distance 1
 one, two = Fraction(1), Fraction(2)
-arms = (AmalgamPair(("v0",), ExtensionCode("metric", ("v0",), (one,)), "x"),
-        AmalgamPair(("v1",), ExtensionCode("metric", ("v1",), (two,)), "y"))
-fs = free_sum(RootedMultiAmalgam(root, arms))
+arms = ((ExtensionCode("metric", ("v0",), (one,)), "x"),
+        (ExtensionCode("metric", ("v1",), (two,)), "y"))
+fs = free_sum(root, arms)
 s = fs.object
 print("free sum carrier:", s.carrier)
 print("d(x, v0) =", s.dist("x", "v0"), " d(y, v1) =", s.dist("y", "v1"))

@@ -25,11 +25,10 @@ from .pushout import (Congruence, OracleReport, PushoutSquare, Span,
                       all_structures, amalgamated_sum, congruence_generated,
                       free_amalgam, pushout_1phep, quotient,
                       verify_universal_property)
-from .amalgam import AmalgamPair, FreeSum, RootedMultiAmalgam, free_sum
+from .amalgam import FreeSum, free_sum
 from .limits import (Catalog, CatalogParams, StageChain, StageCeilingExceeded,
                      build_stages, build_star, check_graph_extension_property,
-                     check_weak_homogeneity, enumerate_extensions,
-                     star_amalgam)
+                     check_weak_homogeneity, enumerate_extensions)
 from .lifting import (CayleyEmbedding, LiftedEndomorphism, cayley_demo,
                       endomorphisms, lift, lift_along_stages,
                       verify_functoriality)

@@ -47,9 +47,6 @@ def parse_root(spec: str, class_tag: str | None) -> FiniteStructure:
                                      f"positive")
             root = simplex(n, d)
         else:
-            if n > 6:
-                raise StructureError("freesemilattice presets are capped at 6 "
-                                     "generators (carrier 2^n - 1)")
             root = free_semilattice(n)
         if class_tag and root.class_tag != class_tag:
             raise StructureError(

@@ -14,23 +14,19 @@ from .pushout import Span, pushout_1phep
 from .structures import (GRAPH, METRIC, POSET, SEMILATTICE, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
                          _hom_violation, _morphism, enumerate_codes,
-                         enumerate_homs, extension_code, identity_morphism,
+                         enumerate_homs, extension_code,
                          induced_substructure, is_embedding, is_homomorphism)
 
 
 @dataclass(frozen=True)
 class LiftComponent:
-    """Bookkeeping for one catalog arm of a lift.
+    """Where a lift sends one catalog arm.
 
     `target_index` is the catalog entry realizing the transported extension
     type, or None when the pushout collapses the new point into the root.
     """
 
-    pair_index: int
     target_index: int | None
-    xi: Morphism    # C_i -> P_i, the pushout surjection
-    iota: Morphism  # P_i -> A*, embedding over the image base
-    psi: Morphism   # iota . xi : C_i -> A*
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
         raise StructureError("phi must be an endomorphism of the catalog root")
     if not is_homomorphism(phi):
         raise StructureError("phi is not a homomorphism")
-    if star.amalgam.root != root or len(star.new_ids) != len(catalog.entries):
+    if star.root != root or len(star.leg_embeddings) != len(catalog.entries):
         raise StructureError("star was not built from this catalog")
     lookup = {(base, code): k for k, (base, code) in enumerate(catalog.entries)}
     obj = star.object
@@ -68,12 +64,10 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
     for r, a in zip(f_root, at_root):
         lifted[a] = at_root[r]
     for i, (base_carrier, code) in enumerate(catalog.entries):
-        ci = star.leg_embeddings[i].source
         if not base_carrier:
             # A point free over the empty base transports to itself.
             j = lookup[((), code)]
-            psi = _morphism(ci, obj, (fresh[j],))
-            components.append(LiftComponent(i, j, identity_morphism(ci), psi, psi))
+            components.append(LiftComponent(j))
             lifted[fresh[i]] = fresh[j]
             continue
         base = [root.index(b) for b in base_carrier]
@@ -83,7 +77,8 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
         bj = induced_substructure(root, img)
         in_img = {r: k for k, r in enumerate(image)}
         f = _morphism(bi, bj, tuple([in_img[f_root[r]] for r in base]))
-        incl = _morphism(bi, ci, tuple(range(len(base))))  # C_i is B_i plus its fresh point
+        ci = star.leg_embeddings[i].source  # B_i plus its fresh point
+        incl = _morphism(bi, ci, tuple(range(len(base))))
         sq = pushout_1phep(Span(incl, f))
         p = sq.object
         em = sq.right_leg.positions  # bj -> p, an embedding
@@ -108,9 +103,8 @@ def lift(phi: Morphism, star: FreeSum, catalog: Catalog) -> LiftedEndomorphism:
             raise InternalConsistencyError(
                 f"component embedding into the star failed for catalog entry {i} "
                 f"(base {base_carrier}, new point {star.new_ids[i]!r})")
-        psi = iota.compose(sq.left_leg)
-        components.append(LiftComponent(i, target, sq.left_leg, iota, psi))
-        lifted[fresh[i]] = psi.positions[-1]
+        components.append(LiftComponent(target))
+        lifted[fresh[i]] = into_star[sq.left_leg.positions[-1]]
     if star.ground_parts is not None:
         table = obj.table
         pos = {x: k for k, x in enumerate(obj.carrier)}
@@ -254,8 +248,6 @@ def _discrete_root(root: FiniteStructure, grid: tuple[Fraction, ...] = ()):
 def _free_semilattice_root(n: int):
     """The free semilattice on n designated generators; an endomorphism is the
     extension of a map of the generators."""
-    if n > 6:
-        raise StructureError("free semilattice roots are capped at 6 generators")
     root, designated = free_semilattice(n), free_semilattice_generators(n)
     gens = [root.index(g) for g in designated]
     return root, designated, (), \
@@ -288,32 +280,27 @@ def _cayley_catalog(root: FiniteStructure, designated: tuple[str, ...],
     return Catalog(root, CatalogParams(1, grid), tuple(entries))
 
 
-def cayley_demo(table, class_tag: str, n: int | None = None) -> CayleyEmbedding:
+def cayley_demo(table, class_tag: str) -> CayleyEmbedding:
     """Embed a finite semigroup into the endomorphisms of a star.
 
     The semigroup (identity adjoined if absent, size m) acts on itself by
-    right multiplication; the action is realized on the first m points of a
-    discrete root of size n >= m (edgeless graph, antichain, unit simplex, or
-    free semilattice on n generators) and lifted arm by arm to the star.
+    right multiplication; the action is realized on a discrete root of m
+    points (edgeless graph, antichain, unit simplex, or free semilattice on
+    m generators) and lifted arm by arm to the star.
     Injectivity and the full multiplication table are verified exactly:
     lift(s) . lift(t) == lift(t*s) for all s, t.
     """
     _check_associative(table)
     full, identity = _with_identity(table)
     m = len(full)
-    if n is None:
-        n = m
-    if n < m:
-        raise StructureError(f"root needs at least {m} designated points")
     if class_tag not in _CAYLEY_ROOTS:
         raise StructureError(f"unknown class {class_tag!r}")
-    root, designated, grid, endomorphism = _CAYLEY_ROOTS[class_tag](n)
+    root, designated, grid, endomorphism = _CAYLEY_ROOTS[class_tag](m)
     catalog = _cayley_catalog(root, designated, grid)
     star = build_star(root, catalog)
 
     gens = [root.index(d) for d in designated]
-    endos = [endomorphism([gens[full[x][s]] for x in range(m)] + gens[m:])
-             for s in range(m)]
+    endos = [endomorphism([gens[full[x][s]] for x in range(m)]) for s in range(m)]
     lifted = [lift(phi, star, catalog) for phi in endos]
 
     maps = [l.lifted.positions for l in lifted]

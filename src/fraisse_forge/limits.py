@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amalgam import AmalgamPair, FreeSum, RootedMultiAmalgam, free_sum
+from .amalgam import FreeSum, free_sum
 from .meetglue import SizeCeilingExceeded
 from .structures import (GRAPH, RECORDS, ExtensionCode, FiniteStructure,
                          InternalConsistencyError, Morphism, StructureError,
@@ -98,19 +98,14 @@ def enumerate_extensions(root: FiniteStructure, params: CatalogParams) -> Catalo
     return Catalog(root, params, tuple(entries))
 
 
-def star_amalgam(catalog: Catalog) -> RootedMultiAmalgam:
-    """The rooted multi-amalgam whose free sum is the star of the root."""
-    taken = set(catalog.root.carrier)
-    names = fresh_ids("x", len(catalog.entries), taken)
-    pairs = tuple(AmalgamPair(base, code, name)
-                  for (base, code), name in zip(catalog.entries, names))
-    return RootedMultiAmalgam(catalog.root, pairs)
-
-
 def _star(catalog: Catalog, stage: int, ceiling: int) -> FreeSum:
-    """The star over `catalog` as stage `stage`, refused past `ceiling`."""
+    """The star over `catalog` as stage `stage`, refused past `ceiling`:
+    the free sum of the root with one arm per catalog code, its fresh point
+    named x0, x1, ... in catalog order."""
+    names = fresh_ids("x", len(catalog.entries), catalog.root.carrier)
+    arms = [(code, name) for (_, code), name in zip(catalog.entries, names)]
     try:
-        return free_sum(star_amalgam(catalog), max_elements=ceiling)
+        return free_sum(catalog.root, arms, max_elements=ceiling)
     except SizeCeilingExceeded as e:
         raise StageCeilingExceeded(stage, e.reached, ceiling) from e
 
@@ -129,40 +124,40 @@ def build_star(root: FiniteStructure, catalog: Catalog) -> FreeSum:
 class StageChain:
     """Finite chain F₀ ⊆ F₁ ⊆ … with the catalog and star used at each step."""
 
-    stages: tuple[FiniteStructure, ...]
-    inclusions: tuple[Morphism, ...]   # F_n -> F_{n+1}
+    root: FiniteStructure              # F_0
     catalogs: tuple[Catalog, ...]      # catalog of F_n used to build F_{n+1}
     stars: tuple[FreeSum, ...]         # the sum producing F_{n+1}
     params: CatalogParams
 
+    @property
+    def stages(self) -> tuple[FiniteStructure, ...]:
+        return (self.root,) + tuple(star.object for star in self.stars)
+
+    @property
+    def inclusions(self) -> tuple[Morphism, ...]:
+        """F_n -> F_{n+1}: each star's root embedding."""
+        return tuple(star.root_embedding for star in self.stars)
+
     def __len__(self) -> int:
-        return len(self.stages)
+        return len(self.stars) + 1
 
 
-def build_stages(root: FiniteStructure, k: int, params: CatalogParams,
-                 ceiling: int | None = None) -> StageChain:
-    """Chain of k star iterations; refuses (never truncates) past the ceiling.
-
-    The ceiling defaults to 5000 carrier elements and can be overridden with
-    the FORGE_MAX_CARRIER environment variable.
+def build_stages(root: FiniteStructure, k: int, params: CatalogParams) -> StageChain:
+    """Chain of k star iterations; refuses (never truncates) a stage past the
+    ceiling of 5000 carrier elements, or the one the FORGE_MAX_CARRIER
+    environment variable sets.
     """
     if k < 0:
         raise StructureError("stage count must be non-negative")
-    if ceiling is None:
-        ceiling = stage_ceiling()
-    stages = [root]
-    inclusions: list[Morphism] = []
+    ceiling = stage_ceiling()
     catalogs: list[Catalog] = []
     stars: list[FreeSum] = []
+    current = root
     for n in range(k):
-        cat = enumerate_extensions(stages[-1], params)
-        fs = _star(cat, n + 1, ceiling)
-        stages.append(fs.object)
-        inclusions.append(fs.root_embedding)
-        catalogs.append(cat)
-        stars.append(fs)
-    return StageChain(tuple(stages), tuple(inclusions), tuple(catalogs),
-                      tuple(stars), params)
+        catalogs.append(enumerate_extensions(current, params))
+        stars.append(_star(catalogs[-1], n + 1, ceiling))
+        current = stars[-1].object
+    return StageChain(root, tuple(catalogs), tuple(stars), params)
 
 
 @dataclass(frozen=True)

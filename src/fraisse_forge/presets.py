@@ -101,9 +101,13 @@ def free_semilattice(n_generators: int) -> FiniteStructure:
     """Free meet-semilattice on n generators: nonempty generator subsets under union.
 
     Element ids: generators are g0..g{n-1}; proper meets are '(gi^gj^...)'.
+    At most 6 generators (the carrier has 2^n - 1 elements).
     """
     if n_generators < 1:
         raise StructureError("need at least one generator")
+    if n_generators > 6:
+        raise StructureError(f"free semilattices are capped at 6 generators, "
+                             f"not {n_generators}")
     gens = _names(n_generators, "g")
     subsets = []
     for size in range(1, n_generators + 1):

@@ -491,10 +491,14 @@ def apply_code(base: FiniteStructure | None, code: ExtensionCode,
     """Build the one-point extension described by `code` with the fresh id `new_id`.
 
     `base` is None exactly for the empty base, in the classes that admit one;
-    the result is then the one-point structure.
+    the result is then the one-point structure.  Refused: an empty base where
+    the class has none, a base of another class than the code's, a base
+    whose carrier is not the code's, and a new id already in the base.
     """
     rec = class_record(code.class_tag)
     base = _base_or_empty(rec, base)
+    if base.class_tag != rec.tag:
+        raise StructureError(f"a {rec.tag} code cannot extend a {base.class_tag} base")
     if base.carrier != code.base_carrier:
         raise StructureError("code does not match the base carrier")
     if new_id in base.carrier:

@@ -5,10 +5,10 @@ import itertools
 
 from fraisse_forge import (GRAPH, ISOMORPHISM, METRIC, POSET, SEMILATTICE,
                            Congruence, ExtensionCode, FiniteStructure,
-                           FreeSum, InternalConsistencyError, Morphism,
-                           RootedMultiAmalgam, Span, StructureError,
-                           amalgamated_sum, apply_code, classify,
-                           is_embedding, morphism_from_dict)
+                           FreeSum, InternalConsistencyError, Morphism, Span,
+                           StructureError, amalgamated_sum, apply_code,
+                           classify, induced_substructure, is_embedding,
+                           morphism_from_dict)
 from fraisse_forge import pushout
 from fraisse_forge.structures import (DEFAULT_HOM_BOUND_BITS, BoundExceeded,
                                       _fresh_id, _morphism, is_homomorphism)
@@ -18,23 +18,23 @@ def identity_on_ids(s: FiniteStructure, target: FiniteStructure) -> Morphism:
     return morphism_from_dict(s, target, {x: x for x in s.carrier})
 
 
-def semilattice_iterated_sum(amalgam: RootedMultiAmalgam) -> FreeSum:
-    """The semilattice free sum as a chain of two-term amalgamated sums.
+def semilattice_iterated_sum(root: FiniteStructure, arms) -> FreeSum:
+    """The semilattice free sum of `root` and its `(code, new_id)` arms as a
+    chain of two-term amalgamated sums.
 
     Independent of the one-glue `free_sum`, which the tests check it against:
     the two must agree up to an isomorphism fixing the root and matching
     fresh points.
     """
-    root = amalgam.root
     if root.class_tag != SEMILATTICE:
         raise StructureError("iterated sum applies to semilattices")
     current = root
     parts = {x: (x,) for x in root.carrier}
     exts = []
-    for pair in amalgam.pairs:
-        nid = _fresh_id(pair.new_id, set(current.carrier))
-        base = amalgam.base_structure(pair)
-        ext = apply_code(base, pair.code, nid)
+    for code, new_id in arms:
+        nid = _fresh_id(new_id, set(current.carrier))
+        base = induced_substructure(root, code.base_carrier)
+        ext = apply_code(base, code, nid)
         sq = amalgamated_sum(Span(identity_on_ids(base, ext),
                                   identity_on_ids(base, current)))
         # Re-express ground parts of the step in terms of the original ground:
@@ -52,8 +52,7 @@ def semilattice_iterated_sum(amalgam: RootedMultiAmalgam) -> FreeSum:
     legs = tuple(identity_on_ids(ext, current) for ext in exts)
     if not is_embedding(root_embedding) or not all(map(is_embedding, legs)):
         raise InternalConsistencyError("iterated sum leg is not an embedding")
-    return FreeSum(amalgam, current, root_embedding, legs,
-                   tuple(ext.carrier[-1] for ext in exts), ground_parts=parts)
+    return FreeSum(root, current, legs, ground_parts=parts)
 
 
 def forced_root_isomorphism(s1: FiniteStructure, s2: FiniteStructure,
@@ -98,16 +97,16 @@ def free_sum_isomorphism(f1: FreeSum, f2: FreeSum,
                          pairing: tuple[int, ...] | None = None) -> Morphism | None:
     """Root-fixing isomorphism between two sums over the same root.
 
-    `pairing[i]` names the pair of `f2` corresponding to pair i of `f1`
-    (identity when omitted, as for two constructions over the same pair list).
+    `pairing[i]` names the arm of `f2` corresponding to arm i of `f1`
+    (identity when omitted, as for two constructions over the same arm list).
     The seed maps the shared root identically and matches the paired fresh
     points; for semilattices the rest of the map is forced by meets.
     """
-    if f1.amalgam.root != f2.amalgam.root:
+    if f1.root != f2.root:
         raise StructureError("free sums have different roots")
     if pairing is None:
         pairing = tuple(range(len(f1.new_ids)))
-    root = f1.amalgam.root
+    root = f1.root
     seed = {x: x for x in root.carrier}
     for i, j in enumerate(pairing):
         seed[f1.new_ids[i]] = f2.new_ids[j]

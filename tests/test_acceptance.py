@@ -10,9 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, AmalgamPair,
-                           CatalogParams, RootedMultiAmalgam, Span, cli,
-                           congruence_generated, free_sum,
+from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, CatalogParams,
+                           Span, cli, congruence_generated, free_sum,
                            morphism_from_dict, pushout_1phep)
 from fraisse_forge.pushout import all_structures, amalgamated_sum
 from fraisse_forge.presets import (antichain, edgeless_graph,
@@ -121,7 +120,7 @@ def arm_pool(root, grid):
     for base in bases:
         sub = induced_substructure(root, base) if base else None
         for code in enumerate_codes(root.class_tag, sub, grid=grid):
-            pool.append(AmalgamPair(base, code, "x"))
+            pool.append((code, "x"))
     return pool
 
 
@@ -135,19 +134,17 @@ def test_criterion_4_free_sum_coherence(capsys):
                 pool = arm_pool(root, grid)
                 for k in (2, 3):
                     for arms in itertools.combinations_with_replacement(pool, k):
-                        ma = RootedMultiAmalgam(root, arms)
-                        base = free_sum(ma)
+                        base = free_sum(root, arms)
                         for perm in itertools.permutations(range(k)):
-                            other = free_sum(RootedMultiAmalgam(
-                                root, tuple(arms[i] for i in perm)))
+                            other = free_sum(root, tuple(arms[i] for i in perm))
                             inv = [0] * k
                             for j, i in enumerate(perm):
                                 inv[i] = j
                             assert free_sum_isomorphism(
                                 base, other, tuple(inv)) is not None
                         if tag == SEMILATTICE:
-                            it = semilattice_iterated_sum(ma)
-                            di = free_sum(ma)
+                            it = semilattice_iterated_sum(root, arms)
+                            di = free_sum(root, arms)
                             assert free_sum_isomorphism(it, di) is not None
                         checked += 1
             assert checked > 0, tag

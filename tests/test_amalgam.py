@@ -1,18 +1,17 @@
-"""Rooted multi-amalgams, free sums, and the free amalgam behind them."""
+"""Free sums of a root and its arms, and the free amalgam behind them."""
 
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, AmalgamPair,
-                           CatalogParams, ExtensionCode,
-                           InternalConsistencyError, RootedMultiAmalgam, Span,
+from fraisse_forge import (GRAPH, METRIC, POSET, SEMILATTICE, CatalogParams,
+                           ExtensionCode, InternalConsistencyError, Span,
                            StructureError, all_structures, amalgamated_sum,
                            apply_code, enumerate_codes, enumerate_extensions,
                            enumerate_homs, free_amalgam, free_sum,
                            induced_substructure, is_embedding,
-                           morphism_from_dict, star_amalgam, validate)
+                           morphism_from_dict, validate)
 from fraisse_forge import amalgam
 from fraisse_forge.meetglue import SizeCeilingExceeded
 from fraisse_forge.presets import (antichain, edgeless_graph,
@@ -23,24 +22,22 @@ from helpers import (forced_root_isomorphism, free_sum_isomorphism,
                      semilattice_iterated_sum)
 
 
-def pairs_over_whole(root, codes, name="x"):
-    return tuple(AmalgamPair(root.carrier, c, name) for c in codes)
+def arms_over_whole(codes, name="x"):
+    return tuple((c, name) for c in codes)
 
 
 class TestConstruction:
     def test_empty_pair_list_is_root(self):
         root = edgeless_graph(2)
-        fs = free_sum(RootedMultiAmalgam(root, ()))
+        fs = free_sum(root, ())
         assert fs.object == root
         assert fs.root_embedding.mapping == root.carrier
 
     def test_graph_two_singleton_arms(self):
         # two fresh points, each adjacent to its own base vertex only
         root = edgeless_graph(2)
-        ma = RootedMultiAmalgam(root, (
-            AmalgamPair(("v0",), ExtensionCode(GRAPH, ("v0",), ("v0",)), "x"),
-            AmalgamPair(("v1",), ExtensionCode(GRAPH, ("v1",), ("v1",)), "y")))
-        fs = free_sum(ma)
+        fs = free_sum(root, ((ExtensionCode(GRAPH, ("v0",), ("v0",)), "x"),
+                             (ExtensionCode(GRAPH, ("v1",), ("v1",)), "y")))
         g = fs.object
         edges = {(a, b) for a in g.carrier for b in g.carrier
                  if a < b and g.adjacent(a, b)}
@@ -51,9 +48,8 @@ class TestConstruction:
         # semilattice {a, x, y, x^y}
         root = semilattice_from_meets("a", {})
         code = ExtensionCode(SEMILATTICE, ("a",), (None,))
-        ma = RootedMultiAmalgam(root, (AmalgamPair(("a",), code, "x"),
-                                       AmalgamPair(("a",), code, "y")))
-        for fs in (free_sum(ma), semilattice_iterated_sum(ma)):
+        arms = ((code, "x"), (code, "y"))
+        for fs in (free_sum(root, arms), semilattice_iterated_sum(root, arms)):
             s = fs.object
             assert len(s.carrier) == 4
             assert s.meet("x", "y") not in ("a", "x", "y")
@@ -61,44 +57,50 @@ class TestConstruction:
     def test_one_pair_isomorphic_to_extension(self):
         root = semilattice_from_meets("a", {})
         code = ExtensionCode(SEMILATTICE, ("a",), ("a",))
-        fs = free_sum(RootedMultiAmalgam(root, (AmalgamPair(("a",), code, "x"),)))
+        fs = free_sum(root, ((code, "x"),))
         assert set(fs.object.carrier) == {"a", "x"}
 
     def test_base_must_respect_carrier_order(self):
         root = edgeless_graph(2)
         code = ExtensionCode(GRAPH, ("v1", "v0"), ())
-        with pytest.raises(StructureError):
-            RootedMultiAmalgam(root, (AmalgamPair(("v1", "v0"), code, "x"),))
+        with pytest.raises(StructureError, match="code does not match the base carrier"):
+            free_sum(root, ((code, "x"),))
 
     def test_empty_base_rejected_for_metric_and_semilattice(self):
-        with pytest.raises(StructureError):
-            RootedMultiAmalgam(simplex(2), (
-                AmalgamPair((), ExtensionCode(METRIC, (), ()), "x"),))
-        with pytest.raises(StructureError):
-            RootedMultiAmalgam(free_semilattice(1), (
-                AmalgamPair((), ExtensionCode(SEMILATTICE, (), ()), "x"),))
+        with pytest.raises(StructureError,
+                           match="empty base is not admissible for class metric"):
+            free_sum(simplex(2), ((ExtensionCode(METRIC, (), ()), "x"),))
+        with pytest.raises(StructureError,
+                           match="empty base is not admissible for class semilattice"):
+            free_sum(free_semilattice(1), ((ExtensionCode(SEMILATTICE, (), ()), "x"),))
+
+    def test_arm_of_another_class_rejected(self):
+        code = ExtensionCode(POSET, ("v0",), (("v0",), ()))
+        with pytest.raises(StructureError, match="poset code cannot extend a graph base"):
+            free_sum(edgeless_graph(2), ((code, "x"),))
 
     def test_legs_embed_and_agree_on_base(self):
         root = simplex(2, 1)
         codes = enumerate_codes(METRIC, root, grid=(Fraction(1), Fraction(2)))
-        fs = free_sum(RootedMultiAmalgam(root, pairs_over_whole(root, codes[:3])))
-        for pair, leg in zip(fs.amalgam.pairs, fs.leg_embeddings):
+        arms = arms_over_whole(codes[:3])
+        fs = free_sum(root, arms)
+        for (code, _), leg in zip(arms, fs.leg_embeddings):
             assert is_embedding(leg)
-            for b in pair.base_carrier:
+            for b in code.base_carrier:
                 assert leg(b) == fs.root_embedding(b)
 
 
 def all_small_amalgams(tag, grid=None, max_pairs=3):
-    """Deterministic stream of multi-amalgams over roots of size <= 2."""
+    """Deterministic stream of (root, arms) over roots of size <= 2."""
     for root in all_structures(tag, 2, grid):
         arm_pool = []
         for base in meet_closed_subsets(root, 2):
             sub = induced_substructure(root, base)
             for code in enumerate_codes(tag, sub, grid=grid):
-                arm_pool.append(AmalgamPair(base, code, "x"))
+                arm_pool.append((code, "x"))
         for k in (2, max_pairs):
             if len(arm_pool) >= k:
-                yield RootedMultiAmalgam(root, tuple(arm_pool[:k]))
+                yield root, tuple(arm_pool[:k])
 
 
 class TestMaps:
@@ -108,9 +110,9 @@ class TestMaps:
     def test_root_and_legs_are_identity_on_ids(self, tag, grid):
         # the maps are built from carrier positions; their ids are the definition
         checked = 0
-        for ma in all_small_amalgams(tag, grid):
-            fs = free_sum(ma)
-            assert fs.root_embedding.mapping == ma.root.carrier
+        for root, arms in all_small_amalgams(tag, grid):
+            fs = free_sum(root, arms)
+            assert fs.root_embedding.mapping == root.carrier
             for leg in fs.leg_embeddings:
                 assert leg.mapping == leg.source.carrier
             checked += 1
@@ -134,19 +136,19 @@ class TestSizeCeiling:
     def test_glue_refusal_is_a_structure_error(self):
         cat = enumerate_extensions(free_semilattice(2), CatalogParams(2))
         with pytest.raises(StructureError, match="exceeds 100 elements"):
-            free_sum(star_amalgam(cat), max_elements=100)
+            free_sum(cat.root, [(code, "x") for _, code in cat.entries],
+                     max_elements=100)
 
 
 class TestArmWitness:
     def test_arm_that_does_not_embed_is_named(self, monkeypatch):
         root = edgeless_graph(2)
-        ma = RootedMultiAmalgam(root, (
-            AmalgamPair(("v0",), ExtensionCode(GRAPH, ("v0",), ("v0",)), "x"),
-            AmalgamPair(("v1",), ExtensionCode(GRAPH, ("v1",), ()), "y")))
+        arms = ((ExtensionCode(GRAPH, ("v0",), ("v0",)), "x"),
+                (ExtensionCode(GRAPH, ("v1",), ()), "y"))
         monkeypatch.setattr(amalgam, "is_embedding",
                             lambda m: m.source.carrier[-1] != "y")
         with pytest.raises(InternalConsistencyError, match="arm 1 \\(new id 'y'\\)"):
-            free_sum(ma)
+            free_sum(root, arms)
 
 
 class TestCoherence:
@@ -155,12 +157,11 @@ class TestCoherence:
         (METRIC, (Fraction(1), Fraction(2))), (SEMILATTICE, None)])
     def test_pair_permutation_isomorphic(self, tag, grid):
         checked = 0
-        for ma in itertools.islice(all_small_amalgams(tag, grid), 4):
-            base = free_sum(ma)
-            k = len(ma.pairs)
+        for root, arms in itertools.islice(all_small_amalgams(tag, grid), 4):
+            base = free_sum(root, arms)
+            k = len(arms)
             for perm in itertools.permutations(range(k)):
-                other = free_sum(RootedMultiAmalgam(
-                    ma.root, tuple(ma.pairs[i] for i in perm)))
+                other = free_sum(root, tuple(arms[i] for i in perm))
                 inv = [0] * k
                 for j, i in enumerate(perm):
                     inv[i] = j
@@ -170,9 +171,9 @@ class TestCoherence:
 
     def test_semilattice_iterated_equals_subset_representation(self):
         checked = 0
-        for ma in all_small_amalgams(SEMILATTICE):
-            it = semilattice_iterated_sum(ma)
-            di = free_sum(ma)
+        for root, arms in all_small_amalgams(SEMILATTICE):
+            it = semilattice_iterated_sum(root, arms)
+            di = free_sum(root, arms)
             assert free_sum_isomorphism(it, di) is not None
             checked += 1
         assert checked > 0
@@ -182,8 +183,8 @@ class TestCoherence:
         # mediating morphism out of the sum
         root = antichain(1)
         codes = enumerate_codes(POSET, root)
-        ma = RootedMultiAmalgam(root, pairs_over_whole(root, codes[:2]))
-        fs = free_sum(ma)
+        arms = arms_over_whole(codes[:2])
+        fs = free_sum(root, arms)
         exts = [leg.source for leg in fs.leg_embeddings]
         for q in all_structures(POSET, 3):
             homs_obj = enumerate_homs(fs.object, q)
@@ -191,8 +192,8 @@ class TestCoherence:
                 for psis in itertools.product(*(enumerate_homs(e, q)
                                                 for e in exts)):
                     if any(psi(b) != phi(b)
-                           for pair, psi in zip(ma.pairs, psis)
-                           for b in pair.base_carrier):
+                           for (code, _), psi in zip(arms, psis)
+                           for b in code.base_carrier):
                         continue
                     mediating = [
                         u for u in homs_obj
@@ -221,7 +222,7 @@ class TestCoherence:
     def test_metric_cross_distances_validate(self):
         root = simplex(2, 1)
         codes = enumerate_codes(METRIC, root, grid=(Fraction(1), Fraction(2)))
-        fs = free_sum(RootedMultiAmalgam(root, pairs_over_whole(root, codes)))
+        fs = free_sum(root, arms_over_whole(codes))
         assert validate(fs.object).ok
 
 
@@ -269,13 +270,12 @@ class TestClosureOfUnion:
     @pytest.mark.parametrize("tag,grid", RELATIONAL)
     def test_free_sum(self, tag, grid):
         # arms over the whole root route cross distances through bases of two
-        whole = (RootedMultiAmalgam(root, pairs_over_whole(
-            root, enumerate_codes(tag, root, grid=grid)))
-            for root in all_structures(tag, 2, grid))
+        whole = ((root, arms_over_whole(enumerate_codes(tag, root, grid=grid)))
+                 for root in all_structures(tag, 2, grid))
         checked = 0
-        for ma in itertools.chain(all_small_amalgams(tag, grid), whole):
-            fs = free_sum(ma)
-            comps = [(ma.root, ma.root.carrier)] + [
+        for root, arms in itertools.chain(all_small_amalgams(tag, grid), whole):
+            fs = free_sum(root, arms)
+            comps = [(root, root.carrier)] + [
                 (leg.source, leg.mapping) for leg in fs.leg_embeddings]
             assert fs.object.table == closure_of_union(fs.object, comps)
             checked += 1

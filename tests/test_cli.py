@@ -118,6 +118,11 @@ class TestVerify:
                            "--root", "freesemilattice:2")
         assert code == 0 and json.loads(out)["passed"]
 
+    def test_free_semilattice_root_capped(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "axioms",
+                             "--root", "freesemilattice:7")
+        assert code == 2 and not out and "capped at 6 generators" in err
+
     def test_axioms_needs_input(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "axioms")
         assert code == 2

@@ -1,5 +1,6 @@
 """Catalogs, stars, stage chains, and homogeneity checkers."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -139,18 +140,21 @@ class TestStages:
             for s in chain.stages:
                 assert validate(s).ok
 
-    def test_ceiling_refusal_names_stage(self):
+    def test_ceiling_refusal_names_stage(self, monkeypatch):
+        monkeypatch.setenv(STAGE_CEILING_ENV, "20")
         with pytest.raises(StageCeilingExceeded) as exc:
-            build_stages(edgeless_graph(2), 2, CatalogParams(2), ceiling=20)
+            build_stages(edgeless_graph(2), 2, CatalogParams(2))
         assert exc.value.stage == 2
 
-    def test_glue_ceiling_reports_lower_bound(self):
+    def test_glue_ceiling_reports_lower_bound(self, monkeypatch):
         # the glue stops at the first element past the ceiling, so the
         # refusal can only bound the stage size from below
+        monkeypatch.setenv(STAGE_CEILING_ENV, "100")
         with pytest.raises(StageCeilingExceeded) as exc:
-            build_stages(free_semilattice(2), 1, CatalogParams(2), ceiling=100)
+            build_stages(free_semilattice(2), 1, CatalogParams(2))
         assert exc.value.stage == 1 and exc.value.size == 101
         assert "at least 101 elements" in str(exc.value)
+        monkeypatch.delenv(STAGE_CEILING_ENV)
         full = build_stages(free_semilattice(2), 1, CatalogParams(2))
         assert len(full.stages[1].carrier) == 287
 
@@ -196,9 +200,8 @@ class TestWeakHomogeneity:
                                                chain.stars[0].new_ids)
             if realizers(*entry) == [nid])
         pruned = induced_substructure(f1, [x for x in f1.carrier if x != nid])
-        broken = type(chain)(
-            (chain.stages[0], pruned), chain.inclusions, chain.catalogs,
-            chain.stars, chain.params)
+        star = dataclasses.replace(chain.stars[0], object=pruned)
+        broken = dataclasses.replace(chain, stars=(star,))
         rep = check_weak_homogeneity(broken)
         assert not rep.passed and rep.misses == (entry,)
 

@@ -436,11 +436,23 @@ class TestExtensionCodes:
         with pytest.raises(StructureError):
             enumerate_codes(SEMILATTICE, None)
 
+    def test_code_of_another_class_refused(self):
+        code = ExtensionCode("poset", ("v0", "v1"), (("v0",), ()))
+        with pytest.raises(StructureError, match="poset code cannot extend a graph base"):
+            apply_code(edgeless_graph(2), code, "x")
+
     def test_rebased(self):
         base = edgeless_graph(2)
         code = ExtensionCode(GRAPH, base.carrier, ("v0",))
         swapped = rebased(code, {"v0": "v1", "v1": "v0"}, base.carrier)
         assert swapped.code == ("v1",)
+
+
+class TestPresets:
+    def test_free_semilattice_generator_cap(self):
+        assert len(free_semilattice(6).carrier) == 63
+        with pytest.raises(StructureError, match="capped at 6 generators"):
+            free_semilattice(7)
 
 
 class TestFreshIds:
